@@ -6,8 +6,8 @@
  *
  *   analytic   the cluster_load knob injects synthetic foreign
  *              getpage traffic at a target server utilization — the
- *              original single-client approximation
- *   emergent   the multi-client kernel (sim/multi_client.h) runs N
+ *              original one-client approximation
+ *   emergent   the simulator (core/simulator.h) runs N
  *              real faulting clients against the shared servers, so
  *              the load is the clients' own fault traffic
  *
@@ -108,7 +108,7 @@ main()
                       gauge_of(emr, "gms.server_wire_util_max")});
 
         // Closed loop: hand the emergent utilization to the analytic
-        // knob and ask the single-client model for the same point.
+        // knob and ask the one-client model for the same point.
         Experiment an;
         an.app = "modula3";
         an.scale = scale;

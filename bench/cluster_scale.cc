@@ -2,7 +2,7 @@
  * @file
  * Cluster-scale sweep: client count vs emergent saturation.
  *
- * Runs the multi-client kernel (sim/multi_client.h) with N faulting
+ * Runs the simulator (core/simulator.h) with N faulting
  * clients sharing the default 4 GMS servers, doubling N until
  * --max-clients (default 1024). Contention here is *emergent* — the
  * clients queue on the same server CPU/DMA/wire stage resources — so

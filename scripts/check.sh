@@ -8,7 +8,10 @@
 #                             fleet), a multi-process byte-identity
 #                             smoke, then a -Wall -Wextra -Werror
 #                             rebuild in a separate tree
-#                             (build-strict/), an ASan+UBSan build +
+#                             (build-strict/), the same strict
+#                             build with span tracing compiled out
+#                             + ctest (build-notrace/), an ASan+UBSan
+#                             build +
 #                             ctest (build-asan/), a TSan build +
 #                             ctest (build-tsan/), the
 #                             exec_throughput bench (emits
@@ -96,6 +99,15 @@ if [[ $quick -eq 0 ]]; then
     cmake -B build-strict -S . \
         -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror -Wno-restrict" >/dev/null
     cmake --build build-strict -j "$(nproc)"
+
+    echo "== strict: tracing compiled out (SGMS_ENABLE_TRACING=OFF) =="
+    # Every SGMS_TRACE_* site must vanish cleanly (no variable left
+    # unused once the macros expand to nothing), and results must not
+    # depend on the tracing hooks.
+    cmake -B build-notrace -S . -DSGMS_ENABLE_TRACING=OFF \
+        -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror -Wno-restrict" >/dev/null
+    cmake --build build-notrace -j "$(nproc)"
+    (cd build-notrace && ctest --output-on-failure -j "$(nproc)")
 
     echo "== sanitizers: ASan+UBSan build + ctest =="
     cmake -B build-asan -S . \

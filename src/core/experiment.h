@@ -77,11 +77,10 @@ struct Experiment
 
     /**
      * Concurrent faulting clients sharing the simulated cluster
-     * (base.clients mirrored up for sweeps). 1 runs the classic
-     * single-client simulator; >1 runs the multi-client kernel, each
-     * client replaying the same trace rotated to a different starting
-     * offset (client c starts at event len*c/N) so the working sets
-     * collide without being lock-step identical.
+     * (base.clients mirrored up for sweeps). 1 is the paper's setup;
+     * with more, each client replays the same trace rotated to a
+     * different starting offset (client c starts at event len*c/N)
+     * so the working sets collide without being lock-step identical.
      */
     uint32_t clients = 1;
 

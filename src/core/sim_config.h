@@ -103,12 +103,12 @@ struct SimConfig
 
     /**
      * Number of concurrent faulting client nodes sharing the cluster.
-     * 1 (the default, the paper's setup) runs the single-client
-     * simulator; >1 runs the multi-client kernel (sim/multi_client.h)
-     * which interleaves one trace cursor per client in a single
-     * simulated timeline, faulting against shared network stage
-     * resources and GMS servers so contention is emergent. Clients
-     * occupy nodes 0..clients-1 and servers start at node clients.
+     * 1 is the default and the paper's setup. The simulator
+     * (core/simulator.h) interleaves one trace cursor per client in
+     * a single simulated timeline, faulting against shared network
+     * stage resources and GMS servers so contention is emergent.
+     * Clients occupy nodes 0..clients-1 and servers start at node
+     * clients.
      */
     uint32_t clients = 1;
 

@@ -2,9 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "common/logging.h"
+#include "fault/fault_injector.h"
+#include "gms/cluster_load.h"
+#include "gms/gms.h"
+#include "mem/tlb.h"
+#include "net/network.h"
 #include "obs/debug.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
+#include "proto/palcode.h"
+#include "sim/event_queue.h"
 
 namespace sgms
 {
@@ -15,12 +25,290 @@ namespace
 constexpr uint64_t TOUCH_GRANULARITY = 64;
 
 /**
- * References consumed from the trace per next_batch call. Also the
- * granularity of the wall-budget check: one clock read per batch is
- * noise (~20 ns per ~1024 references).
+ * References consumed from a client's trace per next_batch call. Also
+ * the granularity of the wall-budget check: one clock read per batch
+ * is noise (~20 ns per ~1024 references).
  */
 constexpr size_t TRACE_BATCH = 1024;
+
+/** Never a page id (page_of shifts the address right). */
+constexpr PageId NO_PAGE = ~0ULL;
 } // namespace
+
+/**
+ * Where a client that yielded resumes. A reference is split at its
+ * yield points (steal applied / TLB charged / body), so a client that
+ * yields to pending events re-enters exactly where it left off.
+ */
+enum class Simulator::Phase : uint8_t
+{
+    RefSteal, ///< at a fresh reference; apply pending receive-CPU steal
+    RefTlb,   ///< steal applied; charge the TLB
+    RefBody,  ///< TLB charged; page handling
+    DiskWake, ///< sleeping on a disk access; cont says which kind
+};
+
+/** Which accounting runs when a parked client wakes. */
+enum class Simulator::Cont : uint8_t
+{
+    None,
+    NetPageFault,        ///< demand fetch of a freshly-installed page
+    NetSubpageFault,     ///< lazy fetch into a resident page
+    PageWaitInflight,    ///< stalled on an already-in-flight subpage
+    DiskPageFault,       ///< whole-page disk fault (cold / degraded)
+    DiskSubpageDegraded, ///< degraded lazy fetch served by disk
+};
+
+/** One client node: its own paging state plus a parked continuation. */
+struct Simulator::Client
+{
+    Client(uint32_t cid, const SimConfig &cfg, const PageGeometry &geo,
+           obs::MetricsRegistry &metrics)
+        : id(cid), pt(geo, cfg.mem_pages, cfg.replacement),
+          policy(make_fetch_policy(cfg.policy, &metrics)), pal(cfg.pal)
+    {
+        pal.bind_metrics(metrics);
+        if (cfg.footprint_pages_hint)
+            pt.reserve(cfg.footprint_pages_hint);
+        if (cfg.tlb_enabled)
+            tlb = std::make_unique<Tlb>(cfg.tlb_entries, cfg.tlb_assoc,
+                                        cfg.page_size);
+    }
+
+    uint32_t id;
+    TraceSource *trace = nullptr;
+
+    // Per-client paging machinery; the policy's counters resolve to
+    // the shared registry entries, so metrics aggregate across
+    // clients by construction.
+    PageTable pt;
+    std::unique_ptr<FetchPolicy> policy;
+    PalEmulator pal;
+    std::unique_ptr<Tlb> tlb;
+
+    // Program clock and blocking bookkeeping.
+    Tick now = 0;
+    uint64_t ref_index = 0;
+    uint64_t wait_seq = 0;
+    bool blocked = false;
+    Tick wait_start = 0;
+    Tick total_blocked = 0;
+    // Receive-CPU time arriving while the program runs.
+    Tick pending_steal = 0;
+
+    // Batched trace cursor into the run's flat buffer: batch_i is the
+    // current reference, which stays in place while the client is
+    // parked on it.
+    size_t batch_i = 0;
+    size_t batch_n = 0;
+
+    // The last page touched, and whether it is complete with no
+    // watch armed (then a reference to it changes only the dirty
+    // bit). last_frame is valid while last_fast: no page can be
+    // installed (and thus no frame storage can move) without a
+    // fault, which goes through the slow path and refreshes this.
+    PageId last_page = NO_PAGE;
+    bool last_fast = false;
+    PageTable::Frame *last_frame = nullptr;
+
+    // Parked continuation.
+    Phase phase = Phase::RefSteal;
+    Cont cont = Cont::None;
+    PageId wait_page = 0;
+    SubpageIndex wait_sp = 0;
+    uint64_t wait_fault_id = 0;
+    Tick sleep_lat = 0;
+    int64_t wait_plan_bytes = 0;
+    bool finished = false;
+
+    // Per-client tallies, summed (in client order) into the
+    // aggregate result; integer sums, so the totals are exact.
+    // Execution time is not kept: it is ref_index * ns_per_ref.
+    Tick sp_latency = 0;
+    Tick page_wait = 0;
+    Tick recv_overhead = 0;
+    Tick emulation_overhead = 0;
+    Tick tlb_overhead = 0;
+    uint64_t page_faults = 0;
+    uint64_t sub_faults = 0;
+
+    /** Cumulative blocked time as of time @p t. */
+    Tick
+    blocked_at(Tick t) const
+    {
+        return blocked ? total_blocked + (t - wait_start)
+                       : total_blocked;
+    }
+};
+
+/** All mutable state of one run. */
+struct Simulator::Run
+{
+    Run(const SimConfig &cfg, uint32_t nclients)
+        : n(nclients), tracer(cfg.tracer),
+          finj(cfg.faults.enabled()
+                   ? std::make_unique<fault::FaultInjector>(cfg.faults,
+                                                            &metrics)
+                   : nullptr),
+          net(eq, cfg.net, /*requester=*/0, cfg.timeline, cfg.tracer,
+              &metrics, finj.get()),
+          gms(net, cfg.gms, /*requester=*/nclients - 1, cfg.tracer,
+              &metrics),
+          geo(cfg.page_size, cfg.subpage_size),
+          c_page_faults(&metrics.counter("sim.page_faults")),
+          c_subpage_faults(&metrics.counter("sim.lazy_subpage_faults")),
+          c_evictions(&metrics.counter("gms.evictions")),
+          c_disk_faults(&metrics.counter("sim.disk_faults")),
+          d_fault_wait(&metrics.distribution("sim.fault_wait_ns")),
+          step_len(cfg.ns_per_ref),
+          software_pal(cfg.protection == ProtectionMode::SoftwarePal)
+    {
+        if (finj) {
+            // Registered only under fault injection so that
+            // fault-free runs keep a byte-identical snapshot.
+            c_retries = &metrics.counter("gms.retries");
+            c_timeouts = &metrics.counter("gms.timeouts");
+            c_degraded = &metrics.counter("gms.degraded_fetches");
+            c_duplicates =
+                &metrics.counter("gms.duplicate_deliveries");
+            d_retry_delay =
+                &metrics.distribution("gms.retry_delay_ns");
+        }
+        if (cfg.cluster_load.server_utilization > 0.0) {
+            cluster_load = std::make_unique<ClusterLoad>(
+                eq, net, cfg.cluster_load, cfg.gms.servers,
+                nclients - 1);
+        }
+        res.policy = cfg.policy;
+        res.page_size = cfg.page_size;
+        res.subpage_size = cfg.subpage_size;
+        res.mem_pages = cfg.mem_pages;
+
+        clients.reserve(nclients);
+        for (uint32_t i = 0; i < nclients; ++i)
+            clients.emplace_back(i, cfg, geo, metrics);
+        batch_buf.resize(static_cast<size_t>(nclients) * TRACE_BATCH);
+        heap.reserve(nclients + 1);
+    }
+
+    uint32_t n;
+
+    // Declared before the components below, which register their
+    // counters with it during construction.
+    obs::MetricsRegistry metrics;
+    obs::Tracer *tracer;
+    // Fault injector (null when the plan is disabled); declared
+    // before net, which holds a pointer to it.
+    std::unique_ptr<fault::FaultInjector> finj;
+    EventQueue eq;
+    Network net;
+    GmsCluster gms;
+    PageGeometry geo;
+    std::unique_ptr<ClusterLoad> cluster_load;
+
+    // Bound once here so the per-fault paths skip the registry's
+    // name lookup; the reliability ones are registered (non-null)
+    // only under fault injection.
+    obs::Counter *c_page_faults;
+    obs::Counter *c_subpage_faults;
+    obs::Counter *c_evictions;
+    obs::Counter *c_disk_faults;
+    obs::Distribution *d_fault_wait;
+    obs::Counter *c_retries = nullptr;
+    obs::Counter *c_timeouts = nullptr;
+    obs::Counter *c_degraded = nullptr;
+    obs::Counter *c_duplicates = nullptr;
+    obs::Distribution *d_retry_delay = nullptr;
+
+    SimResult res;
+
+    // Dense per-client state plus one flat batch buffer (client i
+    // owns slots [i*TRACE_BATCH, (i+1)*TRACE_BATCH)); nothing here
+    // allocates after construction.
+    std::vector<Client> clients;
+    std::vector<TraceEvent> batch_buf;
+
+    /** Runnable-client min-heap entry, ordered by (at, id). */
+    struct Runnable
+    {
+        Tick at;
+        uint32_t id;
+    };
+    std::vector<Runnable> heap;
+    uint32_t active = 0;
+
+    bool budgeted = false;
+    std::chrono::steady_clock::time_point deadline{};
+
+    const Tick step_len;
+    const bool software_pal;
+
+    /** Client @p id's slots of the batch buffer. */
+    TraceEvent *
+    batch(uint32_t id)
+    {
+        return batch_buf.data() + static_cast<size_t>(id) * TRACE_BATCH;
+    }
+
+    /** The reference @p c is executing (or parked on). */
+    const TraceEvent &
+    cur(const Client &c) const
+    {
+        return batch_buf[static_cast<size_t>(c.id) * TRACE_BATCH +
+                         c.batch_i];
+    }
+
+    /** Namespace a client-local page id on the shared cluster. */
+    PageId
+    gpage(PageId page, uint32_t client) const
+    {
+        return page * n + client;
+    }
+
+    static bool
+    later(const Runnable &a, const Runnable &b)
+    {
+        return a.at != b.at ? a.at > b.at : a.id > b.id;
+    }
+
+    void
+    push_runnable(const Client &c, Tick at)
+    {
+        heap.push_back({at, c.id});
+        std::push_heap(heap.begin(), heap.end(), later);
+    }
+
+    Runnable
+    pop_runnable()
+    {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        Runnable top = heap.back();
+        heap.pop_back();
+        return top;
+    }
+};
+
+/**
+ * State of one reliable fetch (fault injection enabled): which
+ * subpages it owes, which attempt is live, and whether it is
+ * finished. Shared between the attempt, timeout, and delivery
+ * closures; `generation` invalidates stale timeout events.
+ */
+struct Simulator::PendingFetch
+{
+    uint32_t client = 0;
+    PageId page = 0;
+    uint64_t fault_id = 0;
+    NodeId srv = 0;
+    /** All subpages this fetch must land (union of plan segments). */
+    uint64_t expected = 0;
+    /** Subpage the program blocks on (replan anchor for retries). */
+    SubpageIndex demand_sp = 0;
+    uint32_t byte_in_sub = 0;
+    uint32_t attempt = 1;
+    uint64_t generation = 0;
+    bool done = false;
+};
 
 Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg))
 {
@@ -28,114 +316,326 @@ Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg))
         fatal("simulator: mem_pages must be 0 (unlimited) or >= 2");
     if (cfg_.subpage_size > cfg_.page_size)
         fatal("simulator: subpage larger than page");
-    if (cfg_.clients > 1)
-        fatal("simulator: clients > 1 requires MultiClientSimulator "
-              "(sim/multi_client.h)");
 }
 
-Simulator::Run::Run(const SimConfig &cfg)
-    : tracer(cfg.tracer),
-      finj(cfg.faults.enabled()
-               ? std::make_unique<fault::FaultInjector>(cfg.faults,
-                                                        &metrics)
-               : nullptr),
-      net(eq, cfg.net, /*requester=*/0, cfg.timeline, cfg.tracer,
-          &metrics, finj.get()),
-      gms(net, cfg.gms, /*requester=*/0, cfg.tracer, &metrics),
-      geo(cfg.page_size, cfg.subpage_size),
-      pt(geo, cfg.mem_pages, cfg.replacement),
-      policy(make_fetch_policy(cfg.policy, &metrics)), pal(cfg.pal),
-      c_page_faults(&metrics.counter("sim.page_faults")),
-      c_subpage_faults(&metrics.counter("sim.lazy_subpage_faults")),
-      c_evictions(&metrics.counter("gms.evictions")),
-      c_disk_faults(&metrics.counter("sim.disk_faults")),
-      d_fault_wait(&metrics.distribution("sim.fault_wait_ns"))
+Simulator::~Simulator() = default;
+
+uint64_t
+Simulator::events_executed() const
 {
-    pal.bind_metrics(metrics);
-    if (finj) {
-        // Registered only under fault injection so that fault-free
-        // runs keep a byte-identical metrics snapshot.
-        c_retries = &metrics.counter("gms.retries");
-        c_timeouts = &metrics.counter("gms.timeouts");
-        c_degraded = &metrics.counter("gms.degraded_fetches");
-        c_duplicates = &metrics.counter("gms.duplicate_deliveries");
-        d_retry_delay = &metrics.distribution("gms.retry_delay_ns");
-    }
-    if (cfg.footprint_pages_hint)
-        pt.reserve(cfg.footprint_pages_hint);
-    if (cfg.tlb_enabled)
-        tlb = std::make_unique<Tlb>(cfg.tlb_entries, cfg.tlb_assoc,
-                                    cfg.page_size);
-    if (cfg.cluster_load.server_utilization > 0.0) {
-        cluster_load = std::make_unique<ClusterLoad>(
-            eq, net, cfg.cluster_load, cfg.gms.servers, 0);
-    }
-    res.policy = cfg.policy;
-    res.page_size = cfg.page_size;
-    res.subpage_size = cfg.subpage_size;
-    res.mem_pages = cfg.mem_pages;
+    return run_ ? run_->eq.executed() : last_events_executed_;
+}
+
+uint64_t
+Simulator::events_pending() const
+{
+    return run_ ? run_->eq.size() : 0;
+}
+
+uint64_t
+Simulator::refs_executed() const
+{
+    if (!run_)
+        return 0;
+    uint64_t refs = 0;
+    for (const Client &c : run_->clients)
+        refs += c.ref_index;
+    return refs;
 }
 
 void
-Simulator::drain_due_events(Run &r)
+Simulator::begin(const std::vector<TraceSource *> &traces)
 {
-    if (r.eq.next_time() <= r.now)
-        r.eq.run_until(r.now);
-    if (r.pending_steal) {
-        r.now += r.pending_steal;
-        r.res.recv_overhead += r.pending_steal;
-        r.pending_steal = 0;
-        // The steal may have pushed us past more event times.
-        if (r.eq.next_time() <= r.now)
-            r.eq.run_until(r.now);
+    SGMS_ASSERT(!run_);
+    SGMS_ASSERT(!traces.empty());
+    run_ = std::make_unique<Run>(
+        cfg_, static_cast<uint32_t>(traces.size()));
+    Run &r = *run_;
+    // Cooperative cancellation: the budget is checked once per
+    // consumed batch, so a runaway point aborts within one batch of
+    // references past its deadline no matter how slow each reference
+    // simulates.
+    r.budgeted = cfg_.wall_budget_ms > 0;
+    if (r.budgeted) {
+        r.deadline = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(cfg_.wall_budget_ms);
+    }
+    for (Client &c : r.clients) {
+        c.trace = traces[c.id];
+        c.trace->reset();
+        ++r.active;
+        if (load_batch(r, c))
+            r.push_runnable(c, 0);
     }
 }
 
-Tick
-Simulator::wait_until(Run &r, const std::function<bool()> &pred)
+/**
+ * Refill @p c's batch slots from its trace and point the cursor at
+ * the first one. At end of trace the client finishes instead (false):
+ * its pending events are abandoned, and no event due at or before its
+ * clock runs on its account.
+ */
+bool
+Simulator::load_batch(Run &r, Client &c)
 {
-    Tick start = r.now;
-    r.blocked = true;
-    r.wait_start = r.now;
-    while (!pred()) {
-        SGMS_ASSERT(!r.eq.empty()); // otherwise the wait can never end
-        Tick t = r.eq.run_one();
-        if (t > r.now)
-            r.now = t;
+    size_t got = c.trace->next_batch(r.batch(c.id), TRACE_BATCH);
+    if (got == 0) {
+        finish_client(r, c);
+        return false;
     }
-    r.blocked = false;
-    Tick waited = r.now - start;
-    r.total_blocked += waited;
-    // Anything that arrived while blocked cannot also steal CPU.
-    r.pending_steal = 0;
-    if (waited > 0) {
-        SGMS_TRACE_SPAN(r.tracer, Block, "blocked", "program", start,
-                        r.now, r.wait_seq++,
-                        static_cast<int64_t>(r.ref_index), 0);
+    c.batch_n = got;
+    c.batch_i = 0;
+    if (r.budgeted && std::chrono::steady_clock::now() >= r.deadline)
+        throw SimTimeoutError(cfg_.wall_budget_ms, refs_executed());
+    return true;
+}
+
+bool
+Simulator::drive(uint64_t rounds)
+{
+    SGMS_ASSERT(run_);
+    Run &r = *run_;
+    while (r.active > 0 && rounds > 0) {
+        --rounds;
+        if (r.heap.empty()) {
+            // Every unfinished client is blocked on a fetch; only an
+            // event can wake one.
+            SGMS_ASSERT(!r.eq.empty());
+            r.eq.run_one();
+            continue;
+        }
+        // Events win ties so a client resuming at t sees every
+        // delivery at <= t applied first.
+        if (r.eq.next_time() <= r.heap.front().at) {
+            r.eq.run_one();
+            continue;
+        }
+        Run::Runnable top = r.pop_runnable();
+        step(r, r.clients[top.id]);
     }
-    return waited;
+    return r.active > 0;
+}
+
+SimResult
+Simulator::run(const std::vector<TraceSource *> &traces)
+{
+    begin(traces);
+    while (drive(UINT64_MAX)) {
+    }
+    return finish();
 }
 
 void
-Simulator::disk_wait(Run &r, Tick latency)
+Simulator::finish_client(Run &r, Client &c)
 {
-    Tick target = r.now + latency;
-    r.blocked = true;
-    r.wait_start = r.now;
-    r.eq.run_until(target);
-    r.now = target;
-    r.blocked = false;
-    r.total_blocked += latency;
-    r.pending_steal = 0;
-    if (latency > 0) {
-        SGMS_TRACE_SPAN(r.tracer, Block, "disk", "program",
-                        target - latency, target, r.wait_seq++,
-                        static_cast<int64_t>(r.ref_index), 0);
+    c.finished = true;
+    SGMS_ASSERT(r.active > 0);
+    --r.active;
+}
+
+/**
+ * Charge one executed reference, then move to the next one (finishing
+ * the client at end of trace). Returns true when the caller's step
+ * loop should keep running this client inline; false when the client
+ * parked (or finished) and the caller must return to the scheduler.
+ * Wake paths pass in_step=false: they run inside an event callback,
+ * so the client always re-enters through the scheduler, which first
+ * drains any events due at its resume time.
+ */
+bool
+Simulator::advance_after_ref(Run &r, Client &c, bool in_step)
+{
+    c.now += r.step_len;
+    ++c.ref_index;
+    if (++c.batch_i == c.batch_n && !load_batch(r, c))
+        return false;
+    c.phase = Phase::RefSteal;
+    if (in_step && r.eq.next_time() > c.now)
+        return true;
+    r.push_runnable(c, c.now);
+    return false;
+}
+
+/**
+ * Run @p c from where it yielded until it yields, parks, or finishes.
+ *
+ * Nothing in here runs an event, and every path that schedules one (a
+ * fault) parks the client, so the next event time and the receive-CPU
+ * steal are fixed for the whole burst. The cursor (clock, reference
+ * count, batch index) and the fast-path page live in locals, written
+ * back before a fault or a batch refill reads them and when the
+ * client leaves: a reference to the last complete page costs a
+ * compare, the dirty bit, and the clock.
+ */
+void
+Simulator::step(Run &r, Client &c)
+{
+    if (c.phase == Phase::DiskWake) {
+        finish_disk_wake(r, c);
+        if (!complete_ref_after_slow(r, c, /*in_step=*/true))
+            return;
+    }
+    const Tick horizon = r.eq.next_time();
+    const TraceEvent *const buf = r.batch(c.id);
+    Tlb *const tlb = c.tlb.get();
+    Phase at = c.phase;
+    Tick steal = c.pending_steal;
+    Tick now = c.now;
+    uint64_t ref = c.ref_index;
+    size_t i = c.batch_i;
+    PageId fast_page = c.last_fast ? c.last_page : NO_PAGE;
+    auto write_back = [&] {
+        c.now = now;
+        c.ref_index = ref;
+        c.batch_i = i;
+    };
+    auto leave = [&](Phase resume) {
+        write_back();
+        c.phase = resume;
+        r.push_runnable(c, now);
+    };
+    for (;;) {
+        const TraceEvent ev = buf[i];
+        if (at == Phase::RefSteal && steal) {
+            now += steal;
+            c.recv_overhead += steal;
+            c.pending_steal = steal = 0;
+            // The steal may have pushed us past more event times.
+            if (horizon <= now)
+                return leave(Phase::RefTlb);
+        }
+        if (at != Phase::RefBody && tlb && !tlb->access(ev.addr)) {
+            now += cfg_.tlb_miss_cost;
+            c.tlb_overhead += cfg_.tlb_miss_cost;
+            // The refill may have pushed us past pending events;
+            // they must run before any fault handling injects new
+            // messages.
+            if (horizon <= now)
+                return leave(Phase::RefBody);
+        }
+        at = Phase::RefSteal;
+        PageId page = r.geo.page_of(ev.addr);
+        if (page == fast_page) {
+            if (ev.write)
+                c.last_frame->dirty = true;
+        } else {
+            PageTable::Frame *frame = c.pt.find(page);
+            if (!frame) {
+                write_back();
+                if (!yield_for_slow_path(r, c))
+                    page_fault(r, c, page); // parks
+                return;
+            }
+            // Refresh the replacement policy's recency, but only
+            // every TOUCH_GRANULARITY references per page: exact
+            // per-reference LRU ordering costs a list splice per
+            // reference and is indistinguishable at page-fault reuse
+            // distances.
+            if (page != c.last_page &&
+                ref - frame->last_touch >= TOUCH_GRANULARITY) {
+                c.pt.touch(page);
+                frame->last_touch = ref;
+            }
+            SubpageIndex sp = r.geo.subpage_of(ev.addr);
+            if (!frame->valid.test(sp)) {
+                write_back();
+                if (yield_for_slow_path(r, c))
+                    return;
+                if (frame->subpage_inflight(sp)) {
+                    // Stall until the in-flight transfer lands: the
+                    // page_wait component of Figure 4.
+                    park_fetch_wait(c, page, sp, frame->fault_id,
+                                    Cont::PageWaitInflight, 0);
+                } else {
+                    subpage_fault(r, c, *frame, page);
+                }
+                return;
+            }
+            if (r.software_pal && !frame->complete) {
+                Tick cost = c.pal.access_cost(page, ev.write);
+                now += cost;
+                c.emulation_overhead += cost;
+            }
+            if (frame->watch_from >= 0)
+                resolve_watch(r, c, *frame, sp);
+            if (ev.write)
+                frame->dirty = true;
+            c.last_page = page;
+            c.last_fast = frame->complete && frame->watch_from < 0;
+            c.last_frame = frame;
+            fast_page = c.last_fast ? page : NO_PAGE;
+        }
+        now += r.step_len;
+        ++ref;
+        if (++i == c.batch_n) {
+            write_back();
+            if (!load_batch(r, c))
+                return;
+            i = 0;
+        }
+        if (horizon <= now)
+            return leave(Phase::RefSteal);
     }
 }
 
+/**
+ * Gate in front of every slow path (anything touching the shared
+ * cluster). A client may run pure fast-path references arbitrarily
+ * far ahead of its peers — they only touch client-local state — but
+ * a fault must be issued in global time order or the stage resources
+ * and event queue would see non-monotone submissions. Yield when any
+ * event is due or any runnable peer precedes (c.now, c.id); the
+ * client re-enters RefBody at the same reference and re-evaluates
+ * (deliveries during the yield may have made it a fast hit). Never
+ * triggers with one client: step() already yields at every due event.
+ */
+bool
+Simulator::yield_for_slow_path(Run &r, Client &c)
+{
+    bool need = r.eq.next_time() <= c.now;
+    if (!need && !r.heap.empty()) {
+        const Run::Runnable &top = r.heap.front();
+        need = top.at < c.now || (top.at == c.now && top.id < c.id);
+    }
+    if (!need)
+        return false;
+    c.phase = Phase::RefBody;
+    r.push_runnable(c, c.now);
+    return true;
+}
+
 void
-Simulator::resolve_watch(Run &r, PageTable::Frame &frame,
+Simulator::park_fetch_wait(Client &c, PageId page, SubpageIndex sp,
+                           uint64_t fault_id, Cont cont,
+                           int64_t demand_bytes)
+{
+    c.blocked = true;
+    c.wait_start = c.now;
+    c.wait_page = page;
+    c.wait_sp = sp;
+    c.wait_fault_id = fault_id;
+    c.wait_plan_bytes = demand_bytes;
+    c.cont = cont;
+    // Not pushed on the runnable heap: only a delivery (or degraded
+    // disk completion) can make progress, and it wakes the client
+    // from inside the event via maybe_wake().
+}
+
+void
+Simulator::begin_disk_sleep(Run &r, Client &c, Tick lat, Cont cont)
+{
+    c.blocked = true;
+    c.wait_start = c.now;
+    c.sleep_lat = lat;
+    c.cont = cont;
+    c.phase = Phase::DiskWake;
+    // Parked *on* the heap: the wake time is known. Events due at or
+    // before the target run first.
+    r.push_runnable(c, c.now + lat);
+}
+
+void
+Simulator::resolve_watch(Run &r, Client &c, PageTable::Frame &frame,
                          SubpageIndex touched)
 {
     if (frame.watch_from < 0)
@@ -146,16 +646,180 @@ Simulator::resolve_watch(Run &r, PageTable::Frame &frame,
     if (cfg_.record_faults)
         r.res.next_subpage_distance.add(distance);
     // Adaptive policies learn the follow-on order from this signal.
-    r.policy->observe_distance(distance);
+    c.policy->observe_distance(distance);
     frame.watch_from = -1;
 }
 
 void
-Simulator::deliver(Run &r, PageId page, uint64_t fault_id,
+Simulator::post_fault_epilogue(Run &r, Client &c, PageTable::Frame &f)
+{
+    // Start watching for the next access to a different subpage
+    // (Figure 7), unless the whole page just arrived at once.
+    const TraceEvent &ev = r.cur(c);
+    SubpageIndex sp = r.geo.subpage_of(ev.addr);
+    if (!f.complete || r.geo.subpages_per_page() > 1)
+        f.watch_from = static_cast<int16_t>(sp);
+    if (ev.write)
+        f.dirty = true;
+}
+
+void
+Simulator::resolve_epilogue(Run &r, Client &c, PageTable::Frame &f)
+{
+    const TraceEvent &ev = r.cur(c);
+    resolve_watch(r, c, f, r.geo.subpage_of(ev.addr));
+    if (ev.write)
+        f.dirty = true;
+}
+
+/** Shared tail of every slow path: refresh last_*, charge the ref. */
+bool
+Simulator::complete_ref_after_slow(Run &r, Client &c, bool in_step)
+{
+    PageId page = r.geo.page_of(r.cur(c).addr);
+    PageTable::Frame *f = c.pt.find(page);
+    SGMS_ASSERT(f);
+    c.last_page = page;
+    c.last_fast = f->complete && f->watch_from < 0;
+    c.last_frame = f;
+    return advance_after_ref(r, c, in_step);
+}
+
+void
+Simulator::maybe_wake(Run &r, Client &c, Tick at)
+{
+    if (c.cont != Cont::NetPageFault &&
+        c.cont != Cont::NetSubpageFault &&
+        c.cont != Cont::PageWaitInflight)
+        return;
+    PageTable::Frame *f = c.pt.find(c.wait_page);
+    if (!f || !f->valid.test(c.wait_sp))
+        return;
+    wake_from_fetch(r, c, at);
+}
+
+/**
+ * The subpage the client blocks on just landed (we are inside the
+ * delivering event, at its timestamp @p at). Run the whole wake
+ * continuation inline — pure bookkeeping, no sends — then park the
+ * client runnable at its new now; remaining events due at that time
+ * still run before it steps: [waking event][epilogue][other due
+ * events][next ref].
+ */
+void
+Simulator::wake_from_fetch(Run &r, Client &c, Tick at)
+{
+    if (at > c.now)
+        c.now = at;
+    c.blocked = false;
+    Tick waited = c.now - c.wait_start;
+    c.total_blocked += waited;
+    // Anything that arrived while blocked cannot also steal CPU.
+    c.pending_steal = 0;
+    if (waited > 0) {
+        SGMS_TRACE_SPAN(r.tracer, Block, "blocked", "program",
+                        c.wait_start, c.now, c.wait_seq++,
+                        static_cast<int64_t>(c.ref_index), 0);
+    }
+    PageId page = c.wait_page;
+    PageTable::Frame *f = c.pt.find(page);
+    SGMS_ASSERT(f);
+    switch (c.cont) {
+    case Cont::NetPageFault:
+        c.sp_latency += waited;
+        if (cfg_.record_faults)
+            r.res.faults[c.wait_fault_id].sp_wait = waited;
+        r.d_fault_wait->add(ticks::to_ns(waited));
+        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
+                        c.now - waited, c.now,
+                        static_cast<int64_t>(c.wait_fault_id),
+                        static_cast<int64_t>(page),
+                        c.wait_plan_bytes);
+        post_fault_epilogue(r, c, *f);
+        break;
+    case Cont::NetSubpageFault:
+        c.sp_latency += waited;
+        r.d_fault_wait->add(ticks::to_ns(waited));
+        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
+                        c.now - waited, c.now,
+                        static_cast<int64_t>(c.wait_fault_id),
+                        static_cast<int64_t>(page),
+                        c.wait_plan_bytes);
+        if (c.wait_fault_id < r.res.faults.size())
+            r.res.faults[c.wait_fault_id].page_wait += waited;
+        resolve_epilogue(r, c, *f);
+        break;
+    case Cont::PageWaitInflight:
+        c.page_wait += waited;
+        SGMS_TRACE_SPAN(r.tracer, PageWait, "page_wait", "fault",
+                        c.now - waited, c.now,
+                        static_cast<int64_t>(c.wait_fault_id),
+                        static_cast<int64_t>(page),
+                        static_cast<int64_t>(c.wait_sp));
+        if (c.wait_fault_id < r.res.faults.size())
+            r.res.faults[c.wait_fault_id].page_wait += waited;
+        resolve_epilogue(r, c, *f);
+        break;
+    default:
+        SGMS_ASSERT(false);
+    }
+    c.cont = Cont::None;
+    complete_ref_after_slow(r, c, /*in_step=*/false);
+}
+
+/** A disk sleep reached its target time (scheduler popped us). */
+void
+Simulator::finish_disk_wake(Run &r, Client &c)
+{
+    Tick lat = c.sleep_lat;
+    c.now = c.wait_start + lat;
+    c.blocked = false;
+    c.total_blocked += lat;
+    c.pending_steal = 0;
+    if (lat > 0) {
+        SGMS_TRACE_SPAN(r.tracer, Block, "disk", "program",
+                        c.now - lat, c.now, c.wait_seq++,
+                        static_cast<int64_t>(c.ref_index), 0);
+    }
+    // The disk path has no subpage granularity: the whole page lands.
+    PageId page = c.wait_page;
+    c.sp_latency += lat;
+    c.pt.mark_all_valid(page);
+    r.d_fault_wait->add(ticks::to_ns(lat));
+    PageTable::Frame *f = c.pt.find(page);
+    SGMS_ASSERT(f);
+    if (c.cont == Cont::DiskPageFault) {
+        if (cfg_.record_faults) {
+            FaultRecord &rec = r.res.faults[c.wait_fault_id];
+            rec.sp_wait = lat;
+            rec.from_disk = true;
+        }
+        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
+                        c.now - lat, c.now,
+                        static_cast<int64_t>(c.wait_fault_id),
+                        static_cast<int64_t>(page),
+                        static_cast<int64_t>(cfg_.page_size));
+        post_fault_epilogue(r, c, *f);
+    } else {
+        SGMS_ASSERT(c.cont == Cont::DiskSubpageDegraded);
+        SGMS_TRACE_SPAN(r.tracer, Gms, "degraded_disk", "reliability",
+                        c.now - lat, c.now,
+                        static_cast<int64_t>(c.wait_fault_id),
+                        static_cast<int64_t>(page),
+                        static_cast<int64_t>(cfg_.page_size));
+        if (c.wait_fault_id < r.res.faults.size())
+            r.res.faults[c.wait_fault_id].page_wait += lat;
+        resolve_epilogue(r, c, *f);
+    }
+    c.cont = Cont::None;
+}
+
+void
+Simulator::deliver(Run &r, Client &c, PageId page, uint64_t fault_id,
                    uint64_t mask, bool demand, Tick issued,
                    Tick blocked_at_issue, Tick delivered, Tick recv_cpu)
 {
-    PageTable::Frame *frame = r.pt.find(page);
+    PageTable::Frame *frame = c.pt.find(page);
     // Drop late arrivals for pages that were evicted (and possibly
     // refaulted, which changes the fault id) while in flight.
     if (!frame || frame->fault_id != fault_id)
@@ -178,40 +842,43 @@ Simulator::deliver(Run &r, PageId page, uint64_t fault_id,
     while (m) {
         SubpageIndex idx = __builtin_ctzll(m);
         m &= m - 1;
-        r.pt.mark_valid(page, idx);
+        c.pt.mark_valid(page, idx);
     }
     if (frame->complete)
-        r.pal.page_completed(page);
+        c.pal.page_completed(page);
 
-    if (recv_cpu && !r.blocked)
-        r.pending_steal += recv_cpu;
+    if (recv_cpu && !c.blocked)
+        c.pending_steal += recv_cpu;
 
     if (!demand) {
         // Attribute this background transfer's duration to I/O vs
         // computational overlap (section 4.2).
         Tick dur = delivered - issued;
-        Tick blocked_during = r.blocked_at(delivered) - blocked_at_issue;
+        Tick blocked_during =
+            c.blocked_at(delivered) - blocked_at_issue;
         blocked_during = std::clamp<Tick>(blocked_during, 0, dur);
         r.res.io_overlap += blocked_during;
         r.res.comp_overlap += dur - blocked_during;
     }
+
+    maybe_wake(r, c, delivered);
 }
 
 void
-Simulator::issue_transfers(Run &r, PageId page, uint64_t fault_id,
-                           const FetchPlan &plan, SubpageIndex faulted,
-                           uint32_t byte_in_sub)
+Simulator::issue_transfers(Run &r, Client &c, PageId page,
+                           uint64_t fault_id, const FetchPlan &plan,
+                           SubpageIndex faulted, uint32_t byte_in_sub)
 {
     if (r.finj) {
-        issue_transfers_reliable(r, page, fault_id, plan, faulted,
+        issue_transfers_reliable(r, c, page, fault_id, plan, faulted,
                                  byte_in_sub);
         return;
     }
-    NodeId srv = r.gms.server_of(page);
+    NodeId srv = r.gms.server_of(r.gpage(page, c.id));
     // Mark everything the plan covers as in flight immediately; the
     // program is blocked on the demand segment until it arrives, so
     // nothing can observe the gap before the server starts sending.
-    if (PageTable::Frame *frame = r.pt.find(page)) {
+    if (PageTable::Frame *frame = c.pt.find(page)) {
         for (const auto &seg : plan.segments)
             frame->inflight |= seg.subpage_mask;
     }
@@ -220,75 +887,58 @@ Simulator::issue_transfers(Run &r, PageId page, uint64_t fault_id,
     // CPU before the request message is injected. Injection must
     // happen *at* t0, via the event queue — injecting early with a
     // future timestamp would race the stage resources' bookkeeping.
-    Tick t0 = r.now + cfg_.net.fault_handle;
-    // Copy the plan into the request-completion closure: the server
-    // sends the demand segment and everything behind it back-to-back.
+    // The server answers with the demand segment and everything
+    // behind it back-to-back.
+    Tick t0 = c.now + cfg_.net.fault_handle;
+    uint32_t cid = c.id;
     // Init-captures, not [plan]: copy-capturing a const reference
     // gives the closure a const member whose "move" is a throwing
     // vector copy, which forces InlineFunction's heap fallback on
     // every fault.
-    r.eq.schedule(t0, [this, &r, page, fault_id, srv, plan = plan,
-                       t0] {
-        r.net.send(t0,
-               {0, srv, cfg_.net.request_bytes, MsgKind::Request, false,
-                [this, &r, page, fault_id, srv,
-                 plan = plan](Tick when, Tick) {
-                    for (const auto &seg : plan.segments) {
-                        Tick blocked_at_issue = r.blocked_at(when);
-                        r.net.send(
-                            when,
-                            {srv, 0, seg.bytes,
-                             seg.demand ? MsgKind::DemandData
-                                        : MsgKind::BackgroundData,
-                             seg.pipelined_recv,
-                             [this, &r, page, fault_id,
-                              mask = seg.subpage_mask,
-                              demand = seg.demand, issued = when,
-                              blocked_at_issue](Tick d, Tick rc) {
-                                 deliver(r, page, fault_id, mask,
-                                         demand, issued,
-                                         blocked_at_issue, d, rc);
-                             }});
-                    }
-                }});
+    r.eq.schedule(t0, [this, &r, cid, page, fault_id, srv,
+                       plan = plan, t0] {
+        r.net.send(
+            t0,
+            {cid, srv, cfg_.net.request_bytes, MsgKind::Request, false,
+             [this, &r, cid, page, fault_id, srv,
+              plan = plan](Tick when, Tick) {
+                 for (const auto &seg : plan.segments) {
+                     Client &cc = r.clients[cid];
+                     Tick blocked_at_issue = cc.blocked_at(when);
+                     r.net.send(
+                         when,
+                         {srv, cid, seg.bytes,
+                          seg.demand ? MsgKind::DemandData
+                                     : MsgKind::BackgroundData,
+                          seg.pipelined_recv,
+                          [this, &r, cid, page, fault_id,
+                           mask = seg.subpage_mask,
+                           demand = seg.demand, issued = when,
+                           blocked_at_issue](Tick d, Tick rc) {
+                              deliver(r, r.clients[cid], page,
+                                      fault_id, mask, demand, issued,
+                                      blocked_at_issue, d, rc);
+                          }});
+                 }
+             }});
     });
 }
 
-/**
- * State of one reliable fetch (fault injection enabled): which
- * subpages it owes, which attempt is live, and whether it is
- * finished. Shared between the attempt, timeout, and delivery
- * closures; `generation` invalidates stale timeout events.
- */
-struct Simulator::PendingFetch
-{
-    PageId page = 0;
-    uint64_t fault_id = 0;
-    NodeId srv = 0;
-    /** All subpages this fetch must land (union of plan segments). */
-    uint64_t expected = 0;
-    /** Subpage the program blocks on (replan anchor for retries). */
-    SubpageIndex demand_sp = 0;
-    uint32_t byte_in_sub = 0;
-    uint32_t attempt = 1;
-    uint64_t generation = 0;
-    bool done = false;
-};
-
 bool
-Simulator::server_unavailable(Run &r, NodeId srv) const
+Simulator::server_unavailable(Run &r, const Client &c,
+                              NodeId srv) const
 {
-    return r.finj && (r.finj->server_down(srv, r.now) ||
-                      r.gms.server_failed(srv, r.now));
+    return r.finj && (r.finj->server_down(srv, c.now) ||
+                      r.gms.server_failed(srv, c.now));
 }
 
 /** Propagate an observed outage into the GMS directory. */
 void
-Simulator::note_server_down(Run &r, NodeId srv)
+Simulator::note_server_down(Run &r, Client &c, NodeId srv)
 {
-    if (r.finj->server_down(srv, r.now)) {
-        r.gms.mark_server_failed(r.now, srv,
-                                 r.finj->recovery_time(srv, r.now));
+    if (r.finj->server_down(srv, c.now)) {
+        r.gms.mark_server_failed(c.now, srv,
+                                 r.finj->recovery_time(srv, c.now));
     }
 }
 
@@ -297,7 +947,8 @@ Simulator::finish_if_complete(Run &r, PendingFetch &st)
 {
     if (st.done)
         return;
-    PageTable::Frame *frame = r.pt.find(st.page);
+    Client &c = r.clients[st.client];
+    PageTable::Frame *frame = c.pt.find(st.page);
     if (!frame || frame->fault_id != st.fault_id) {
         st.done = true; // page evicted; late arrivals are dropped
         return;
@@ -307,27 +958,25 @@ Simulator::finish_if_complete(Run &r, PendingFetch &st)
 }
 
 void
-Simulator::issue_transfers_reliable(Run &r, PageId page,
-                                    uint64_t fault_id,
-                                    const FetchPlan &plan,
-                                    SubpageIndex faulted,
-                                    uint32_t byte_in_sub)
+Simulator::issue_transfers_reliable(
+    Run &r, Client &c, PageId page, uint64_t fault_id,
+    const FetchPlan &plan, SubpageIndex faulted, uint32_t byte_in_sub)
 {
     auto st = std::make_shared<PendingFetch>();
+    st->client = c.id;
     st->page = page;
     st->fault_id = fault_id;
-    st->srv = r.gms.server_of(page);
+    st->srv = r.gms.server_of(r.gpage(page, c.id));
     st->demand_sp = faulted;
     st->byte_in_sub = byte_in_sub;
-    if (PageTable::Frame *frame = r.pt.find(page)) {
+    if (PageTable::Frame *frame = c.pt.find(page)) {
         for (const auto &seg : plan.segments) {
             frame->inflight |= seg.subpage_mask;
             st->expected |= seg.subpage_mask;
         }
     }
-    // As in the unreliable path, the fault-handling fixed cost
-    // elapses on the faulting CPU before the request goes out.
-    start_attempt(r, std::move(st), plan, r.now + cfg_.net.fault_handle);
+    start_attempt(r, std::move(st), plan,
+                  c.now + cfg_.net.fault_handle);
 }
 
 /**
@@ -348,24 +997,26 @@ Simulator::start_attempt(Run &r, std::shared_ptr<PendingFetch> st,
         uint64_t gen = st->generation;
         r.net.send(
             when,
-            {0, st->srv, cfg_.net.request_bytes, MsgKind::Request,
-             false,
+            {st->client, st->srv, cfg_.net.request_bytes,
+             MsgKind::Request, false,
              [this, &r, st, plan = plan](Tick at, Tick) {
                  if (st->done)
                      return;
                  for (const auto &seg : plan.segments) {
-                     Tick blocked_at_issue = r.blocked_at(at);
+                     Tick blocked_at_issue =
+                         r.clients[st->client].blocked_at(at);
                      r.net.send(
                          at,
-                         {st->srv, 0, seg.bytes,
+                         {st->srv, st->client, seg.bytes,
                           seg.demand ? MsgKind::DemandData
                                      : MsgKind::BackgroundData,
                           seg.pipelined_recv,
                           [this, &r, st, mask = seg.subpage_mask,
                            demand = seg.demand, issued = at,
                            blocked_at_issue](Tick d, Tick rc) {
-                              deliver(r, st->page, st->fault_id,
-                                      mask, demand, issued,
+                              deliver(r, r.clients[st->client],
+                                      st->page, st->fault_id, mask,
+                                      demand, issued,
                                       blocked_at_issue, d, rc);
                               finish_if_complete(r, *st);
                           }});
@@ -392,18 +1043,23 @@ Simulator::on_fetch_timeout(Run &r, std::shared_ptr<PendingFetch> st,
     finish_if_complete(r, *st);
     if (st->done)
         return;
-    PageTable::Frame *frame = r.pt.find(st->page);
+    Client &c = r.clients[st->client];
+    PageTable::Frame *frame = c.pt.find(st->page);
     SGMS_ASSERT(frame); // finish_if_complete marks done otherwise
     uint64_t missing = st->expected & ~frame->valid.raw();
 
     ++r.res.timeouts;
     r.c_timeouts->inc();
     SGMS_TRACE_INSTANT(r.tracer, Gms, "timeout", "reliability", when,
-                       st->fault_id, static_cast<int64_t>(st->page),
+                       st->fault_id,
+                       static_cast<int64_t>(st->page),
                        static_cast<int64_t>(st->attempt));
     SGMS_DPRINTF(Gms,
-                 "fetch timeout page %llu attempt %u missing %llx",
-                 static_cast<unsigned long long>(st->page), st->attempt,
+                 "client %u fetch timeout page %llu attempt %u "
+                 "missing %llx",
+                 st->client,
+                 static_cast<unsigned long long>(st->page),
+                 st->attempt,
                  static_cast<unsigned long long>(missing));
 
     if (st->attempt >= cfg_.retry.max_attempts ||
@@ -424,9 +1080,9 @@ Simulator::on_fetch_timeout(Run &r, std::shared_ptr<PendingFetch> st,
             ? st->demand_sp
             : static_cast<SubpageIndex>(__builtin_ctzll(missing));
     uint32_t byte = anchor == st->demand_sp ? st->byte_in_sub : 0;
-    FetchPlan plan = r.policy->plan(r.geo, anchor, byte, missing);
+    FetchPlan plan = c.policy->plan(r.geo, anchor, byte, missing);
     SGMS_ASSERT(!plan.from_disk);
-    if (PageTable::Frame *f = r.pt.find(st->page)) {
+    if (PageTable::Frame *f = c.pt.find(st->page)) {
         for (const auto &seg : plan.segments)
             f->inflight |= seg.subpage_mask;
     }
@@ -469,139 +1125,127 @@ Simulator::degrade_to_disk(Run &r, std::shared_ptr<PendingFetch> st,
                     when, when + latency, st->fault_id,
                     static_cast<int64_t>(st->page),
                     static_cast<int64_t>(bytes));
-    SGMS_DPRINTF(Gms, "degrading fetch of page %llu to disk (%u bytes)",
-                 static_cast<unsigned long long>(st->page), bytes);
+    SGMS_DPRINTF(Gms,
+                 "client %u degrading fetch of page %llu to disk "
+                 "(%u bytes)",
+                 st->client, static_cast<unsigned long long>(st->page),
+                 bytes);
 
-    r.eq.schedule(when + latency, [&r, st, missing] {
-        PageTable::Frame *frame = r.pt.find(st->page);
+    r.eq.schedule(when + latency, [this, &r, st, missing,
+                                   at = when + latency] {
+        Client &c = r.clients[st->client];
+        PageTable::Frame *frame = c.pt.find(st->page);
         if (!frame || frame->fault_id != st->fault_id)
             return;
         uint64_t m = missing;
         while (m) {
             SubpageIndex idx = __builtin_ctzll(m);
             m &= m - 1;
-            r.pt.mark_valid(st->page, idx);
+            c.pt.mark_valid(st->page, idx);
         }
         if (frame->complete)
-            r.pal.page_completed(st->page);
+            c.pal.page_completed(st->page);
+        maybe_wake(r, c, at);
     });
 }
 
 void
-Simulator::handle_page_fault(Run &r, PageId page, const TraceEvent &ev)
+Simulator::page_fault(Run &r, Client &c, PageId page)
 {
+    const TraceEvent &ev = r.cur(c);
     ++r.res.page_faults;
+    ++c.page_faults;
     r.c_page_faults->inc();
     if (cfg_.record_faults) {
-        r.res.clustering.add(static_cast<double>(r.ref_index),
-                             static_cast<double>(r.res.page_faults));
+        r.res.clustering.add(
+            static_cast<double>(c.ref_index),
+            static_cast<double>(r.res.page_faults));
     }
-    SGMS_DPRINTF(Sim, "page fault #%llu on page %llu at ref %llu",
+    SGMS_DPRINTF(Sim,
+                 "client %u page fault #%llu on page %llu at ref %llu",
+                 c.id,
                  static_cast<unsigned long long>(r.res.page_faults),
                  static_cast<unsigned long long>(page),
-                 static_cast<unsigned long long>(r.ref_index));
+                 static_cast<unsigned long long>(c.ref_index));
 
     // Make room, shipping the victim to global memory.
-    if (r.pt.full()) {
+    if (c.pt.full()) {
         PageTable::Frame victim_state;
-        PageId victim = r.pt.evict(&victim_state);
+        PageId victim = c.pt.evict(&victim_state);
         r.c_evictions->inc();
-        SGMS_TRACE_INSTANT(r.tracer, Gms, "evict", "gms", r.now,
-                           static_cast<int64_t>(victim),
+        PageId gv = r.gpage(victim, c.id);
+        SGMS_TRACE_INSTANT(r.tracer, Gms, "evict", "gms", c.now,
+                           static_cast<int64_t>(gv),
                            static_cast<int64_t>(cfg_.page_size),
-                           static_cast<int64_t>(r.gms.server_of(victim)));
-        r.gms.put_page(r.now, victim, cfg_.page_size,
-                       victim_state.dirty);
+                           static_cast<int64_t>(r.gms.server_of(gv)));
+        r.gms.put_page(c.now, gv, cfg_.page_size, victim_state.dirty,
+                       c.id);
     }
 
-    PageTable::Frame &frame = r.pt.install(page);
+    PageTable::Frame &frame = c.pt.install(page);
     uint64_t fault_id = r.res.faults.size();
     frame.fault_id = fault_id;
-    frame.last_touch = r.ref_index;
+    frame.last_touch = c.ref_index;
 
     SubpageIndex sp = r.geo.subpage_of(ev.addr);
-    uint32_t byte_in_sub =
-        ev.addr & (cfg_.subpage_size - 1);
+    uint32_t byte_in_sub = ev.addr & (cfg_.subpage_size - 1);
     uint64_t missing = ~0ULL;
     if (r.geo.subpages_per_page() < 64)
         missing = (1ULL << r.geo.subpages_per_page()) - 1;
 
-    FaultRecord rec{page, r.ref_index, r.now, 0, 0, false};
+    // Pushed at fault start so that concurrent faults from other
+    // clients get unique ids; the wake continuation fills in sp_wait
+    // and from_disk.
+    if (cfg_.record_faults) {
+        r.res.faults.push_back(
+            FaultRecord{page, c.ref_index, c.now, 0, 0, false});
+    }
 
-    FetchPlan plan =
-        r.policy->plan(r.geo, sp, byte_in_sub, missing);
-    SGMS_TRACE_INSTANT(r.tracer, Policy, "plan", "policy", r.now,
+    FetchPlan plan = c.policy->plan(r.geo, sp, byte_in_sub, missing);
+    SGMS_TRACE_INSTANT(r.tracer, Policy, "plan", "policy", c.now,
                        static_cast<int64_t>(fault_id),
                        static_cast<int64_t>(plan.segments.size()),
                        static_cast<int64_t>(plan.total_bytes()));
+    PageId gp = r.gpage(page, c.id);
+    NodeId srv = r.gms.server_of(gp);
     // Server-lookup boundary of the reliability layer: a fault whose
     // owning server is down (or invalidated in the directory) goes
     // straight to disk instead of timing out on the network.
     bool degraded = false;
-    if (!plan.from_disk && server_unavailable(r, r.gms.server_of(page))) {
-        note_server_down(r, r.gms.server_of(page));
+    if (!plan.from_disk && server_unavailable(r, c, srv)) {
+        note_server_down(r, c, srv);
         degraded = true;
         ++r.res.degraded_fetches;
         r.c_degraded->inc();
         SGMS_TRACE_INSTANT(r.tracer, Gms, "degraded_lookup",
-                           "reliability", r.now,
+                           "reliability", c.now,
                            static_cast<int64_t>(fault_id),
-                           static_cast<int64_t>(page),
-                           static_cast<int64_t>(r.gms.server_of(page)));
+                           static_cast<int64_t>(gp),
+                           static_cast<int64_t>(srv));
     }
-    if (plan.from_disk || degraded || !r.gms.in_global_memory(page)) {
+    if (plan.from_disk || degraded || !r.gms.in_global_memory(gp)) {
         Tick lat = cfg_.disk.access_latency(cfg_.page_size);
         r.c_disk_faults->inc();
-        disk_wait(r, lat);
-        r.res.sp_latency += lat;
-        rec.sp_wait = lat;
-        rec.from_disk = true;
-        r.pt.mark_all_valid(page);
-        r.d_fault_wait->add(ticks::to_ns(lat));
-        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
-                        r.now - lat, r.now,
-                        static_cast<int64_t>(fault_id),
-                        static_cast<int64_t>(page),
-                        static_cast<int64_t>(cfg_.page_size));
-    } else {
-        issue_transfers(r, page, fault_id, plan, sp, byte_in_sub);
-        Tick waited = wait_until(r, [&r, page, sp] {
-            PageTable::Frame *f = r.pt.find(page);
-            return f && f->valid.test(sp);
-        });
-        r.res.sp_latency += waited;
-        rec.sp_wait = waited;
-        r.d_fault_wait->add(ticks::to_ns(waited));
-        SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault",
-                        r.now - waited, r.now,
-                        static_cast<int64_t>(fault_id),
-                        static_cast<int64_t>(page),
-                        static_cast<int64_t>(plan.segments[0].bytes));
+        c.wait_page = page;
+        c.wait_sp = sp;
+        c.wait_fault_id = fault_id;
+        begin_disk_sleep(r, c, lat, Cont::DiskPageFault);
+        return;
     }
-
-    // Start watching for the next access to a different subpage
-    // (Figure 7), unless the whole page just arrived at once.
-    PageTable::Frame *f = r.pt.find(page);
-    SGMS_ASSERT(f);
-    if (!f->complete)
-        f->watch_from = static_cast<int16_t>(sp);
-    else if (r.geo.subpages_per_page() > 1)
-        f->watch_from = static_cast<int16_t>(sp);
-    if (ev.write)
-        f->dirty = true;
-
-    if (cfg_.record_faults)
-        r.res.faults.push_back(rec);
+    issue_transfers(r, c, page, fault_id, plan, sp, byte_in_sub);
+    park_fetch_wait(c, page, sp, fault_id, Cont::NetPageFault,
+                    static_cast<int64_t>(plan.segments[0].bytes));
 }
 
 void
-Simulator::handle_subpage_fault(Run &r, PageId page,
-                                PageTable::Frame &frame,
-                                const TraceEvent &ev)
+Simulator::subpage_fault(Run &r, Client &c, PageTable::Frame &frame,
+                         PageId page)
 {
     // Only the lazy policy leaves resident pages with missing,
     // not-in-flight subpages.
+    const TraceEvent &ev = r.cur(c);
     ++r.res.lazy_subpage_faults;
+    ++c.sub_faults;
     r.c_subpage_faults->inc();
 
     SubpageIndex sp = r.geo.subpage_of(ev.addr);
@@ -609,218 +1253,170 @@ Simulator::handle_subpage_fault(Run &r, PageId page,
     uint64_t missing = ~frame.valid.raw();
     if (r.geo.subpages_per_page() < 64)
         missing &= (1ULL << r.geo.subpages_per_page()) - 1;
-    SGMS_DPRINTF(Sim, "subpage fault on page %llu subpage %u at ref %llu",
-                 static_cast<unsigned long long>(page), sp,
-                 static_cast<unsigned long long>(r.ref_index));
+    SGMS_DPRINTF(Sim,
+                 "client %u subpage fault on page %llu subpage %u "
+                 "at ref %llu",
+                 c.id, static_cast<unsigned long long>(page), sp,
+                 static_cast<unsigned long long>(c.ref_index));
 
-    FetchPlan plan = r.policy->plan(r.geo, sp, byte_in_sub, missing);
+    FetchPlan plan = c.policy->plan(r.geo, sp, byte_in_sub, missing);
     SGMS_ASSERT(!plan.from_disk);
-    SGMS_TRACE_INSTANT(r.tracer, Policy, "plan", "policy", r.now,
+    SGMS_TRACE_INSTANT(r.tracer, Policy, "plan", "policy", c.now,
                        static_cast<int64_t>(frame.fault_id),
                        static_cast<int64_t>(plan.segments.size()),
                        static_cast<int64_t>(plan.total_bytes()));
-    if (server_unavailable(r, r.gms.server_of(page))) {
+    PageId gp = r.gpage(page, c.id);
+    NodeId srv = r.gms.server_of(gp);
+    if (server_unavailable(r, c, srv)) {
         // Degrade the lazy subpage fetch: one disk access brings in
         // the whole page (the disk path has no subpage granularity).
-        note_server_down(r, r.gms.server_of(page));
+        note_server_down(r, c, srv);
         ++r.res.degraded_fetches;
         r.c_degraded->inc();
         Tick lat = cfg_.disk.access_latency(cfg_.page_size);
         r.c_disk_faults->inc();
-        disk_wait(r, lat);
-        r.res.sp_latency += lat;
-        r.pt.mark_all_valid(page);
-        r.d_fault_wait->add(ticks::to_ns(lat));
-        SGMS_TRACE_SPAN(r.tracer, Gms, "degraded_disk", "reliability",
-                        r.now - lat, r.now,
-                        static_cast<int64_t>(frame.fault_id),
-                        static_cast<int64_t>(page),
-                        static_cast<int64_t>(cfg_.page_size));
-        if (frame.fault_id < r.res.faults.size())
-            r.res.faults[frame.fault_id].page_wait += lat;
+        c.wait_page = page;
+        c.wait_sp = sp;
+        c.wait_fault_id = frame.fault_id;
+        begin_disk_sleep(r, c, lat, Cont::DiskSubpageDegraded);
         return;
     }
-    issue_transfers(r, page, frame.fault_id, plan, sp, byte_in_sub);
-    Tick waited = wait_until(r, [&r, page, sp] {
-        PageTable::Frame *f = r.pt.find(page);
-        return f && f->valid.test(sp);
-    });
-    r.res.sp_latency += waited;
-    r.d_fault_wait->add(ticks::to_ns(waited));
-    SGMS_TRACE_SPAN(r.tracer, Fault, "demand", "fault", r.now - waited,
-                    r.now, static_cast<int64_t>(frame.fault_id),
-                    static_cast<int64_t>(page),
+    issue_transfers(r, c, page, frame.fault_id, plan, sp, byte_in_sub);
+    park_fetch_wait(c, page, sp, frame.fault_id,
+                    Cont::NetSubpageFault,
                     static_cast<int64_t>(plan.segments[0].bytes));
-    if (frame.fault_id < r.res.faults.size())
-        r.res.faults[frame.fault_id].page_wait += waited;
 }
 
 SimResult
-Simulator::run(TraceSource &trace)
+Simulator::finish()
 {
-    Run r(cfg_);
-    trace.reset();
+    SGMS_ASSERT(run_);
+    Run &r = *run_;
+    SGMS_ASSERT(r.active == 0);
+    SimResult &res = r.res;
 
-    const Tick step = cfg_.ns_per_ref;
-    const bool software_pal =
-        cfg_.protection == ProtectionMode::SoftwarePal;
-
-    PageId last_page = ~0ULL;
-    bool last_fast = false;
-    // Valid while last_fast: no page can be installed (and thus no
-    // frame storage can move) without a fault, which goes through
-    // the slow path and refreshes this.
-    PageTable::Frame *last_frame = nullptr;
-
-    // Cooperative cancellation: the budget is checked once per
-    // consumed batch, so a runaway point aborts within one batch of
-    // references past its deadline no matter how slow each reference
-    // simulates.
-    using wall_clock = std::chrono::steady_clock;
-    const bool budgeted = cfg_.wall_budget_ms > 0;
-    wall_clock::time_point deadline;
-    if (budgeted) {
-        deadline = wall_clock::now() +
-                   std::chrono::milliseconds(cfg_.wall_budget_ms);
+    uint64_t refs = 0;
+    Tick exec = 0, sp_lat = 0, pwait = 0, recv = 0, emu = 0;
+    Tick tlb_ovh = 0, blocked = 0, runtime = 0;
+    for (Client &c : r.clients) {
+        refs += c.ref_index;
+        exec += c.ref_index * r.step_len;
+        sp_lat += c.sp_latency;
+        pwait += c.page_wait;
+        recv += c.recv_overhead;
+        emu += c.emulation_overhead;
+        tlb_ovh += c.tlb_overhead;
+        blocked += c.total_blocked;
+        if (c.now > runtime)
+            runtime = c.now;
+        res.evictions += c.pt.evictions();
+        res.emulated_accesses += c.pal.emulated();
+        if (c.tlb) {
+            TlbStats s = c.tlb->stats();
+            res.tlb_stats.hits += s.hits;
+            res.tlb_stats.misses += s.misses;
+        }
     }
-
-    TraceEvent batch[TRACE_BATCH];
-    size_t batch_n = 0;
-    size_t batch_i = 0;
-    for (;;) {
-        if (batch_i == batch_n) {
-            batch_n = trace.next_batch(batch, TRACE_BATCH);
-            if (batch_n == 0)
-                break;
-            batch_i = 0;
-            if (budgeted && wall_clock::now() >= deadline)
-                throw SimTimeoutError(cfg_.wall_budget_ms,
-                                      r.ref_index);
-        }
-        const TraceEvent ev = batch[batch_i++];
-        drain_due_events(r);
-
-        if (r.tlb && !r.tlb->access(ev.addr)) {
-            r.now += cfg_.tlb_miss_cost;
-            r.res.tlb_overhead += cfg_.tlb_miss_cost;
-            // The refill may have pushed us past pending events;
-            // they must run before any fault handling injects new
-            // messages (stage resources assume submissions at the
-            // current time).
-            if (r.eq.next_time() <= r.now)
-                r.eq.run_until(r.now);
-        }
-
-        PageId page = r.geo.page_of(ev.addr);
-        if (page != last_page || !last_fast) {
-            PageTable::Frame *frame = r.pt.find(page);
-            if (!frame) {
-                handle_page_fault(r, page, ev);
-                frame = r.pt.find(page);
-                SGMS_ASSERT(frame);
-            } else {
-                // Refresh the replacement policy's recency, but only
-                // every TOUCH_GRANULARITY references per page: exact
-                // per-reference LRU ordering costs a list splice per
-                // reference and is indistinguishable at page-fault
-                // reuse distances.
-                if (page != last_page &&
-                    r.ref_index - frame->last_touch >=
-                        TOUCH_GRANULARITY) {
-                    r.pt.touch(page);
-                    frame->last_touch = r.ref_index;
-                }
-                SubpageIndex sp = r.geo.subpage_of(ev.addr);
-                if (!frame->valid.test(sp)) {
-                    if (frame->subpage_inflight(sp)) {
-                        // Stall until the in-flight transfer lands:
-                        // the page_wait component of Figure 4.
-                        uint64_t fid = frame->fault_id;
-                        Tick waited =
-                            wait_until(r, [&r, page, sp] {
-                                PageTable::Frame *f = r.pt.find(page);
-                                return f && f->valid.test(sp);
-                            });
-                        r.res.page_wait += waited;
-                        SGMS_TRACE_SPAN(r.tracer, PageWait,
-                                        "page_wait", "fault",
-                                        r.now - waited, r.now,
-                                        static_cast<int64_t>(fid),
-                                        static_cast<int64_t>(page),
-                                        static_cast<int64_t>(sp));
-                        if (fid < r.res.faults.size())
-                            r.res.faults[fid].page_wait += waited;
-                    } else {
-                        handle_subpage_fault(r, page, *frame, ev);
-                    }
-                    frame = r.pt.find(page);
-                    SGMS_ASSERT(frame);
-                } else if (software_pal && !frame->complete) {
-                    Tick cost = r.pal.access_cost(page, ev.write);
-                    r.now += cost;
-                    r.res.emulation_overhead += cost;
-                }
-                resolve_watch(r, *frame, r.geo.subpage_of(ev.addr));
-                if (ev.write)
-                    frame->dirty = true;
-            }
-            last_page = page;
-            last_fast = frame->complete && frame->watch_from < 0;
-            last_frame = frame;
-        } else if (ev.write) {
-            // Fast path: same complete page — only the dirty bit can
-            // change.
-            last_frame->dirty = true;
-        }
-
-        r.now += step;
-        r.res.exec_time += step;
-        ++r.ref_index;
+    res.refs = refs;
+    res.runtime = runtime;
+    res.exec_time = exec;
+    res.sp_latency = sp_lat;
+    res.page_wait = pwait;
+    res.recv_overhead = recv;
+    res.emulation_overhead = emu;
+    res.tlb_overhead = tlb_ovh;
+    res.putpages = r.gms.putpages();
+    res.global_discards = r.gms.global_discards();
+    res.net_stats = r.net.stats();
+    // "Requester" busy totals are the sum over all client nodes.
+    Tick wire = 0, dma = 0, cpu = 0;
+    for (uint32_t i = 0; i < r.n; ++i) {
+        wire += r.net.wire_to(i).total_busy();
+        dma += r.net.dma(i).total_busy();
+        cpu += r.net.cpu(i).total_busy();
     }
-
-    r.res.refs = r.ref_index;
-    r.res.runtime = r.now;
-    r.res.evictions = r.pt.evictions();
-    r.res.putpages = r.gms.putpages();
-    r.res.global_discards = r.gms.global_discards();
-    r.res.net_stats = r.net.stats();
-    r.res.requester_wire_busy = r.net.wire_to(0).total_busy();
-    r.res.requester_dma_busy = r.net.dma(0).total_busy();
-    r.res.requester_cpu_busy = r.net.cpu(0).total_busy();
-    if (r.tlb)
-        r.res.tlb_stats = r.tlb->stats();
-    r.res.emulated_accesses = r.pal.emulated();
-    r.res.server_failures = r.gms.server_failures();
+    res.requester_wire_busy = wire;
+    res.requester_dma_busy = dma;
+    res.requester_cpu_busy = cpu;
+    res.server_failures = r.gms.server_failures();
     if (r.finj) {
         r.metrics.counter("gms.server_failures")
-            .inc(r.res.server_failures);
+            .inc(res.server_failures);
     }
 
-    // End-of-run gauges (times in ns; utilizations as fractions),
-    // then freeze the whole registry into the result.
-    double runtime_ns = ticks::to_ns(r.now);
+    double runtime_ns = ticks::to_ns(runtime);
     r.metrics.gauge("sim.runtime_ns").set(runtime_ns);
-    r.metrics.gauge("sim.exec_ns").set(ticks::to_ns(r.res.exec_time));
-    r.metrics.gauge("sim.blocked_ns").set(ticks::to_ns(r.total_blocked));
-    r.metrics.gauge("sim.sp_latency_ns")
-        .set(ticks::to_ns(r.res.sp_latency));
-    if (r.now > 0) {
+    r.metrics.gauge("sim.exec_ns").set(ticks::to_ns(exec));
+    r.metrics.gauge("sim.blocked_ns").set(ticks::to_ns(blocked));
+    r.metrics.gauge("sim.sp_latency_ns").set(ticks::to_ns(sp_lat));
+    if (runtime > 0) {
         r.metrics.gauge("net.wire_busy")
-            .set(static_cast<double>(r.res.requester_wire_busy) /
-                 static_cast<double>(r.now));
+            .set(static_cast<double>(wire) /
+                 static_cast<double>(runtime));
         r.metrics.gauge("net.req_dma_busy")
-            .set(static_cast<double>(r.res.requester_dma_busy) /
-                 static_cast<double>(r.now));
+            .set(static_cast<double>(dma) /
+                 static_cast<double>(runtime));
         r.metrics.gauge("net.req_cpu_busy")
-            .set(static_cast<double>(r.res.requester_cpu_busy) /
-                 static_cast<double>(r.now));
+            .set(static_cast<double>(cpu) /
+                 static_cast<double>(runtime));
     }
-    if (r.tlb) {
-        r.metrics.counter("tlb.hits").inc(r.res.tlb_stats.hits);
-        r.metrics.counter("tlb.misses").inc(r.res.tlb_stats.misses);
+    if (cfg_.tlb_enabled) {
+        r.metrics.counter("tlb.hits").inc(res.tlb_stats.hits);
+        r.metrics.counter("tlb.misses").inc(res.tlb_stats.misses);
     }
-    r.res.metrics = r.metrics.snapshot();
-    return r.res;
+
+    // Cluster gauges, registered only at N>1 so one-client snapshots
+    // hold exactly the paper setup's metrics (same discipline as the
+    // fault-injection-only counters).
+    if (r.n > 1) {
+        r.metrics.gauge("sim.clients")
+            .set(static_cast<double>(r.n));
+        r.metrics.gauge("sim.kernel_events")
+            .set(static_cast<double>(r.eq.executed()));
+        double cpu_max = 0, dma_max = 0, wire_max = 0;
+        if (runtime > 0) {
+            for (uint32_t s = 0; s < cfg_.gms.servers; ++s) {
+                NodeId node = r.n + s;
+                double d = static_cast<double>(runtime);
+                cpu_max = std::max(
+                    cpu_max, r.net.cpu(node).total_busy() / d);
+                dma_max = std::max(
+                    dma_max, r.net.dma(node).total_busy() / d);
+                wire_max = std::max(
+                    wire_max, r.net.wire_to(node).total_busy() / d);
+            }
+        }
+        r.metrics.gauge("gms.server_cpu_util_max").set(cpu_max);
+        r.metrics.gauge("gms.server_dma_util_max").set(dma_max);
+        r.metrics.gauge("gms.server_wire_util_max").set(wire_max);
+        if (cfg_.metrics_per_client) {
+            for (Client &c : r.clients) {
+                std::string p =
+                    "client." + std::to_string(c.id) + ".";
+                r.metrics.gauge(p + "runtime_ns")
+                    .set(ticks::to_ns(c.now));
+                r.metrics.gauge(p + "exec_ns")
+                    .set(ticks::to_ns(c.ref_index * r.step_len));
+                r.metrics.gauge(p + "blocked_ns")
+                    .set(ticks::to_ns(c.total_blocked));
+                r.metrics.gauge(p + "sp_latency_ns")
+                    .set(ticks::to_ns(c.sp_latency));
+                r.metrics.gauge(p + "page_faults")
+                    .set(static_cast<double>(c.page_faults));
+                r.metrics.gauge(p + "refs")
+                    .set(static_cast<double>(c.ref_index));
+            }
+        }
+    }
+    res.metrics = r.metrics.snapshot();
+
+    // Copied, not moved: the copy's vectors (per-fault records above
+    // all) are sized to fit, so callers that keep many results do not
+    // also keep each run's growth slack.
+    SimResult out = res;
+    last_events_executed_ = r.eq.executed();
+    run_.reset();
+    return out;
 }
 
 } // namespace sgms

@@ -1,38 +1,48 @@
 /**
  * @file
- * The trace-driven global-memory simulator (the paper's section 3.2).
+ * The trace-driven global-memory simulator (the paper's section 3.2):
+ * N faulting clients in one simulated timeline.
  *
- * The traced program is the simulation's main thread: it consumes
- * references, advancing the clock by ns_per_ref each, and blocks when
- * it touches non-resident data. Page fetches run through the staged
- * network model as asynchronous events, so transfer pipelining,
- * congestion, receive-interrupt stealing, and the overlap of
- * transfers with execution and with each other all emerge from the
- * event interleaving rather than from closed-form approximations.
+ * Each client is a traced program: it consumes references, advancing
+ * its clock by ns_per_ref each, and blocks when it touches
+ * non-resident data. Page fetches run through the staged network
+ * model as asynchronous events, so transfer pipelining, congestion,
+ * receive-interrupt stealing, and the overlap of transfers with
+ * execution and with each other all emerge from the event
+ * interleaving rather than from closed-form approximations. Every
+ * client has its own trace cursor, page table, replacement state,
+ * TLB, and PAL emulator, and all of them fault against *shared*
+ * network stage resources and GMS servers, so cross-client queueing,
+ * directory contention, and server CPU/DMA saturation are emergent
+ * rather than the analytic cluster_load knob. The paper's setup is
+ * the N=1 case.
+ *
+ * Clients are plain state machines stored in one dense vector indexed
+ * by client id; a small binary heap orders runnable clients by
+ * (resume time, id) and the shared EventQueue interleaves with them,
+ * events winning ties. A client executes references run-ahead style
+ * until it crosses the next pending event time or needs the shared
+ * cluster (a fault), at which point it yields or parks; fault
+ * completions wake it from inside the delivering event (DESIGN.md
+ * §15).
+ *
+ * Node layout: clients occupy nodes 0..N-1, GMS servers start at node
+ * N. Page identity on the shared cluster is namespaced per client
+ * (gpage = page * N + client), which is the identity map at N=1.
  */
 
 #ifndef SGMS_CORE_SIMULATOR_H
 #define SGMS_CORE_SIMULATOR_H
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/sim_config.h"
 #include "core/sim_result.h"
-#include "fault/fault_injector.h"
-#include "gms/cluster_load.h"
-#include "gms/gms.h"
-#include "mem/page.h"
 #include "mem/page_table.h"
-#include "mem/tlb.h"
-#include "net/network.h"
-#include "obs/metrics.h"
-#include "obs/tracer.h"
 #include "policy/fetch_policy.h"
-#include "proto/palcode.h"
-#include "sim/event_queue.h"
 #include "trace/trace.h"
 
 namespace sgms
@@ -63,105 +73,80 @@ class SimTimeoutError : public std::runtime_error
     uint64_t refs_done_;
 };
 
-/** Runs one trace under one configuration. */
+/** Runs N trace cursors against one shared simulated cluster. */
 class Simulator
 {
   public:
     explicit Simulator(SimConfig cfg);
+    ~Simulator();
 
-    /** Simulate the whole trace; reusable (state is per-run). */
-    SimResult run(TraceSource &trace);
+    /**
+     * Simulate every trace to completion and aggregate the results;
+     * traces[i] drives client i and must stay alive for the call.
+     * Reusable (state is per-run).
+     */
+    SimResult run(const std::vector<TraceSource *> &traces);
+
+    /** One client replaying @p trace. */
+    SimResult run(TraceSource &trace) { return run({&trace}); }
+
+    // Staged form of run() for benchmarks and allocation probes:
+    // begin() builds the run state and primes every client, drive()
+    // executes up to `rounds` scheduler dispatches (one event or one
+    // client step each) and returns false once all clients finished,
+    // finish() aggregates and tears down.
+    void begin(const std::vector<TraceSource *> &traces);
+    bool drive(uint64_t rounds);
+    SimResult finish();
+
+    /** Events executed so far (sticky across finish()). */
+    uint64_t events_executed() const;
+    /** Events currently pending in the shared queue (0 after finish). */
+    uint64_t events_pending() const;
+    /** References executed so far across all clients. */
+    uint64_t refs_executed() const;
 
     const SimConfig &config() const { return cfg_; }
 
   private:
-    /** All mutable state of one run. */
-    struct Run
-    {
-        Run(const SimConfig &cfg);
-
-        // Declared before the components below, which register their
-        // counters with it during construction.
-        obs::MetricsRegistry metrics;
-        obs::Tracer *tracer;
-
-        // Fault injector (null when the plan is disabled); declared
-        // before net, which holds a pointer to it.
-        std::unique_ptr<fault::FaultInjector> finj;
-
-        EventQueue eq;
-        Network net;
-        GmsCluster gms;
-        PageGeometry geo;
-        PageTable pt;
-        std::unique_ptr<FetchPolicy> policy;
-        PalEmulator pal;
-        std::unique_ptr<Tlb> tlb;
-        std::unique_ptr<ClusterLoad> cluster_load;
-
-        // Simulator-owned counters/distributions (bound once here so
-        // the per-fault paths skip the registry's name lookup).
-        obs::Counter *c_page_faults;
-        obs::Counter *c_subpage_faults;
-        obs::Counter *c_evictions;
-        obs::Counter *c_disk_faults;
-        obs::Distribution *d_fault_wait;
-
-        // Reliability metrics; registered (and non-null) only when
-        // fault injection is enabled, so fault-free runs keep a
-        // byte-identical metrics snapshot.
-        obs::Counter *c_retries = nullptr;
-        obs::Counter *c_timeouts = nullptr;
-        obs::Counter *c_degraded = nullptr;
-        obs::Counter *c_duplicates = nullptr;
-        obs::Distribution *d_retry_delay = nullptr;
-
-        Tick now = 0;
-        uint64_t ref_index = 0;
-        uint64_t wait_seq = 0;
-
-        // Blocking bookkeeping (for overlap attribution).
-        bool blocked = false;
-        Tick wait_start = 0;
-        Tick total_blocked = 0;
-
-        // Receive-CPU time arriving while the program runs.
-        Tick pending_steal = 0;
-
-        SimResult res;
-
-        /** Cumulative blocked time as of time @p t. */
-        Tick
-        blocked_at(Tick t) const
-        {
-            return blocked ? total_blocked + (t - wait_start)
-                           : total_blocked;
-        }
-    };
-
-    /** In-flight reliable fetch (reliability layer); see simulator.cc. */
+    struct Run;
+    struct Client;
     struct PendingFetch;
+    enum class Phase : uint8_t;
+    enum class Cont : uint8_t;
 
-    void drain_due_events(Run &r);
-    Tick wait_until(Run &r, const std::function<bool()> &pred);
-    void handle_page_fault(Run &r, PageId page, const TraceEvent &ev);
-    void handle_subpage_fault(Run &r, PageId page,
-                              PageTable::Frame &frame,
-                              const TraceEvent &ev);
-    void issue_transfers(Run &r, PageId page, uint64_t fault_id,
-                         const FetchPlan &plan, SubpageIndex faulted,
-                         uint32_t byte_in_sub);
-    void deliver(Run &r, PageId page, uint64_t fault_id, uint64_t mask,
-                 bool demand, Tick issued, Tick blocked_at_issue,
-                 Tick delivered, Tick recv_cpu);
-    void disk_wait(Run &r, Tick latency);
-    void resolve_watch(Run &r, PageTable::Frame &frame,
+    bool load_batch(Run &r, Client &c);
+    void step(Run &r, Client &c);
+    bool advance_after_ref(Run &r, Client &c, bool in_step);
+    bool complete_ref_after_slow(Run &r, Client &c, bool in_step);
+    bool yield_for_slow_path(Run &r, Client &c);
+    void park_fetch_wait(Client &c, PageId page, SubpageIndex sp,
+                         uint64_t fault_id, Cont cont,
+                         int64_t demand_bytes);
+    void begin_disk_sleep(Run &r, Client &c, Tick lat, Cont cont);
+    void finish_client(Run &r, Client &c);
+
+    void page_fault(Run &r, Client &c, PageId page);
+    void subpage_fault(Run &r, Client &c, PageTable::Frame &frame,
+                       PageId page);
+    void issue_transfers(Run &r, Client &c, PageId page,
+                         uint64_t fault_id, const FetchPlan &plan,
+                         SubpageIndex faulted, uint32_t byte_in_sub);
+    void deliver(Run &r, Client &c, PageId page, uint64_t fault_id,
+                 uint64_t mask, bool demand, Tick issued,
+                 Tick blocked_at_issue, Tick delivered, Tick recv_cpu);
+    void resolve_watch(Run &r, Client &c, PageTable::Frame &frame,
                        SubpageIndex touched);
+    void maybe_wake(Run &r, Client &c, Tick at);
+    void wake_from_fetch(Run &r, Client &c, Tick at);
+    void finish_disk_wake(Run &r, Client &c);
+    void post_fault_epilogue(Run &r, Client &c, PageTable::Frame &f);
+    void resolve_epilogue(Run &r, Client &c, PageTable::Frame &f);
 
     // Reliability layer (active only when cfg_.faults is enabled).
-    bool server_unavailable(Run &r, NodeId srv) const;
-    void note_server_down(Run &r, NodeId srv);
-    void issue_transfers_reliable(Run &r, PageId page,
+    bool server_unavailable(Run &r, const Client &c, NodeId srv) const;
+    void note_server_down(Run &r, Client &c, NodeId srv);
+    void issue_transfers_reliable(Run &r, Client &c, PageId page,
                                   uint64_t fault_id,
                                   const FetchPlan &plan,
                                   SubpageIndex faulted,
@@ -175,6 +160,8 @@ class Simulator
     void finish_if_complete(Run &r, PendingFetch &st);
 
     SimConfig cfg_;
+    std::unique_ptr<Run> run_;
+    uint64_t last_events_executed_ = 0;
 };
 
 } // namespace sgms

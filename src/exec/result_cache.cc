@@ -267,8 +267,8 @@ experiment_fingerprint(const Experiment &ex)
     fp.add_i("tlb.miss_cost", cfg.tlb_miss_cost);
     fp.add("record_faults", cfg.record_faults);
     // Multi-client keys are appended only when active so every
-    // single-client fingerprint (and cached result) from before the
-    // multi-client kernel stays valid.
+    // one-client fingerprint (and cached result) from before the
+    // clients axis stays valid.
     if (cfg.clients > 1) {
         fp.add("clients", static_cast<uint64_t>(cfg.clients));
         fp.add("metrics_per_client", cfg.metrics_per_client);

@@ -143,7 +143,8 @@ class GmsCluster
      * exhausted its retries or its outage schedule fired.
      */
     void
-    mark_server_failed(Tick now, NodeId server, Tick until)
+    mark_server_failed([[maybe_unused]] Tick now, NodeId server,
+                       Tick until)
     {
         Tick &t = failed_until_[server];
         if (until > t) {

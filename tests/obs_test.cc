@@ -2,23 +2,28 @@
  * @file
  * Observability smoke tests: the tracer ring, Chrome trace export,
  * the metrics registry and its JSON round-trip through json_report,
- * debug-flag parsing, and the span/sp_latency accounting invariant.
+ * debug-flag parsing, the span/sp_latency accounting invariant, and
+ * byte-level pins of the Chrome trace export of whole app runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
+#include "core/experiment.h"
 #include "core/json_report.h"
 #include "core/simulator.h"
 #include "obs/chrome_trace.h"
 #include "obs/debug.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "trace/binfmt.h"
 #include "trace/synthetic.h"
 
 namespace sgms
@@ -228,6 +233,39 @@ run_traced(obs::Tracer &tracer)
     return sim.run(trace);
 }
 
+/** Loss, duplicates and a server outage: every reliability path. */
+fault::FaultPlan
+pin_fault_plan()
+{
+    fault::FaultPlan plan;
+    plan.seed = 5;
+    plan.set_loss(0.08);
+    plan.duplicate_prob = 0.02;
+    plan.outages.push_back({1, ticks::from_ms(5), ticks::from_ms(60)});
+    return plan;
+}
+
+/**
+ * Run @p app under @p policy at scale 0.02 and half memory, with
+ * @p tracer attached (may be null) and optionally under faults.
+ */
+SimResult
+run_app(const char *app, const char *policy, bool faults,
+        obs::Tracer *tracer)
+{
+    Experiment ex;
+    ex.app = app;
+    ex.scale = 0.02;
+    ex.policy = policy;
+    ex.subpage_size = 1024;
+    ex.mem = MemConfig::Half;
+    SimConfig cfg = ex.config();
+    cfg.tracer = tracer;
+    if (faults)
+        cfg.faults = pin_fault_plan();
+    return Simulator(cfg).run(*ex.trace());
+}
+
 TEST(Tracer, RingOverflowDropsOldest)
 {
     obs::Tracer tr(4);
@@ -322,6 +360,88 @@ TEST(Tracer, FaultTimelineMentionsFaults)
     EXPECT_NE(os.str().find("demand"), std::string::npos);
 }
 
+// ---------------------------------------------------------------
+// Span pins: FNV-1a digests of the Chrome trace export of gdb and
+// modula3 runs, recorded from the one-client kernel that ran every
+// N=1 point before the current one took them over.
+// ---------------------------------------------------------------
+
+uint64_t
+digest(const std::string &s)
+{
+    return fnv1a_bytes(s.data(), s.size());
+}
+
+std::string
+app_chrome_export(const char *app, const char *policy, bool faults)
+{
+    obs::Tracer tracer;
+    run_app(app, policy, faults, &tracer);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    std::ostringstream os;
+    obs::write_chrome_trace(os, tracer);
+    return os.str();
+}
+
+/** The export's lines in sorted order: the spans as a multiset. */
+std::string
+sorted_lines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);)
+        lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    std::string out;
+    for (const std::string &line : lines)
+        out += line + "\n";
+    return out;
+}
+
+struct SpanPin
+{
+    const char *app;
+    const char *policy;
+    uint64_t fault_free;      ///< digest of the whole export
+    uint64_t faulted_sorted;  ///< digest of the sorted lines
+};
+
+constexpr SpanPin SPAN_PINS[] = {
+    {"gdb", "fullpage", 0x2af7530178149b24ull, 0xdc00ff4f88fb6032ull},
+    {"gdb", "eager", 0x660392e980d951adull, 0xb1732bbd7a0eb91cull},
+    {"gdb", "pipelining", 0x551550c629e70844ull, 0x8bd5ad9b0e8b8e0aull},
+    {"gdb", "lazy", 0x1f910a3fb9123681ull, 0xb6a1dcc3df0d0611ull},
+    {"modula3", "fullpage", 0x1b4e2f65b7bbb344ull, 0xd5cbc6148ca68af0ull},
+    {"modula3", "eager", 0x76e6c1b12cd5314eull, 0x58109007334395ebull},
+    {"modula3", "pipelining", 0x0b90059723909aa9ull,
+     0x555f1ba0aa27a928ull},
+    {"modula3", "lazy", 0x825a2ea7607bb6c1ull, 0x85c7147275bbafdaull},
+};
+
+TEST(SpanPins, FaultFreeExportsAreByteIdentical)
+{
+    for (const SpanPin &p : SPAN_PINS) {
+        SCOPED_TRACE(std::string(p.app) + " " + p.policy);
+        EXPECT_EQ(digest(app_chrome_export(p.app, p.policy, false)),
+                  p.fault_free);
+    }
+}
+
+TEST(SpanPins, FaultInjectedExportsHoldTheSameSpans)
+{
+    // Only the multiset is pinned: when a duplicate delivery lands at
+    // the tick that wakes the program, its `duplicate` net instant
+    // may be recorded after the program's `blocked` span instead of
+    // before it. The two are on different tracks, so the order within
+    // each track (what Tracer::spans() promises) is unaffected.
+    for (const SpanPin &p : SPAN_PINS) {
+        SCOPED_TRACE(std::string(p.app) + " " + p.policy);
+        EXPECT_EQ(digest(sorted_lines(
+                      app_chrome_export(p.app, p.policy, true))),
+                  p.faulted_sorted);
+    }
+}
+
 #endif // SGMS_OBS_TRACING
 
 TEST(Metrics, RegistryFindsAndSnapshots)
@@ -392,6 +512,24 @@ TEST(Debug, FlagParsing)
     EXPECT_TRUE(obs::debug_enabled(obs::DebugFlag::Net));
     EXPECT_FALSE(obs::debug_enabled(obs::DebugFlag::Tlb));
     obs::set_debug_flags(prev);
+}
+
+TEST(Debug, GmsFlagReportsDegradedFetches)
+{
+    // Retries run out against the downed server, so fetches degrade
+    // to the local disk; each one prints a Gms line.
+    uint32_t prev = obs::set_debug_flags(
+        static_cast<uint32_t>(obs::DebugFlag::Gms));
+    testing::internal::CaptureStderr();
+    SimResult r = run_app("gdb", "pipelining", true, nullptr);
+    std::string err = testing::internal::GetCapturedStderr();
+    obs::set_debug_flags(prev);
+    ASSERT_GT(r.degraded_fetches, 0u);
+    EXPECT_NE(err.find("Gms: client 0 degrading fetch of page "),
+              std::string::npos);
+    EXPECT_NE(err.find(" to disk ("), std::string::npos);
+    EXPECT_NE(err.find("Gms: client 0 fetch timeout page "),
+              std::string::npos);
 }
 
 TEST(Logging, SetQuietReturnsPrevious)
