@@ -57,8 +57,9 @@ section(const std::string &name)
 
 /**
  * The process-wide execution engine, configured from the environment
- * (SGMS_JOBS, SGMS_CACHE, SGMS_CACHE_DIR). Every bench routes its
- * experiments through it, so `SGMS_CACHE=1 ./build/bench/fig3_*`
+ * (SGMS_JOBS, SGMS_POINT_TIMEOUT_MS, SGMS_CACHE, SGMS_CACHE_DIR).
+ * Every bench routes its experiments through it, so
+ * `SGMS_CACHE=1 ./build/bench/fig3_*`
  * replays unchanged points from the result cache with zero per-bench
  * code, and batched sections parallelize under SGMS_JOBS=N.
  */
@@ -68,12 +69,30 @@ engine()
     return exec::Engine::shared();
 }
 
+/**
+ * fatal() naming every degraded point of a batch (exec::
+ * degraded_report): a point that ran out of its SGMS_POINT_TIMEOUT_MS
+ * budget must never reach a figure as a zero row.
+ */
+inline void
+fatal_if_degraded(const std::vector<Experiment> &points,
+                  const std::vector<SimResult> &results)
+{
+    std::string report = exec::degraded_report(points, results);
+    if (!report.empty()) {
+        report.pop_back(); // fatal() ends the line itself
+        fatal("degraded points (wall budget exhausted):\n%s",
+              report.c_str());
+    }
+}
+
 /** Run one experiment (through the shared engine's cache). */
 inline SimResult
 run_labeled(const Experiment &ex)
 {
     SimResult r = engine().run(ex);
     std::fflush(stdout);
+    fatal_if_degraded({ex}, {r});
     return r;
 }
 
@@ -87,6 +106,7 @@ run_batch(const std::vector<Experiment> &points)
 {
     std::vector<SimResult> out = engine().run_all(points);
     std::fflush(stdout);
+    fatal_if_degraded(points, out);
     return out;
 }
 
@@ -94,7 +114,7 @@ run_batch(const std::vector<Experiment> &points)
  * Run a batch under an observability session. When the session is
  * actually tracing, points run serially on the calling thread via
  * ex.run(obs) — span capture and timelines cannot survive a worker
- * thread or process — otherwise the batch goes through the engine
+ * thread — otherwise the batch goes through the engine
  * like run_batch().
  */
 inline std::vector<SimResult>

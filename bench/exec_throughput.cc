@@ -4,23 +4,25 @@
  * grid run three ways —
  *
  *   serial     jobs=1, cache off (the historical run_sweep path)
- *   parallel   jobs=N, cache off (work-stealing pool, deterministic
- *              merge; N = SGMS_JOBS or all hardware threads)
- *   processes  workers=N, cache off (forked fleet + pipe IPC)
+ *   parallel   jobs=N, cache off (threads on a shared point index,
+ *              deterministic merge; N = SGMS_JOBS or all hardware
+ *              threads)
  *   warm-cache jobs=N, every point served from the result cache
  *
- * Verifies along the way that all four produce byte-identical
+ * Verifies along the way that all three produce byte-identical
  * result blobs and json_report output, and that the warm pass
- * simulates zero points. Then sweeps the parallelism degree for both
- * the thread pool and the process fleet, recording a points/sec
- * scaling curve. Emits a machine-readable summary (default
- * results/BENCH_exec.json) to track the perf trajectory in CI.
+ * simulates zero points. Then runs the grid at every thread count
+ * from 1 to N, recording a points/sec scaling curve. Emits a
+ * machine-readable summary (default results/BENCH_exec.json) that
+ * records the host's hardware thread count and the source commit
+ * (`git describe --always --dirty` in the working directory).
  *
  * Usage: exec_throughput [--scale=S] [--jobs=N] [--out=FILE]
  *                        [--keep-cache-dir=DIR]
  */
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -63,6 +65,24 @@ report_of(const std::vector<SimResult> &results)
     return os.str();
 }
 
+/** The source commit, or "unknown" outside a git checkout. */
+std::string
+source_commit()
+{
+    std::string commit;
+    if (FILE *p = ::popen("git describe --always --dirty 2>/dev/null",
+                          "r")) {
+        char buf[128];
+        if (std::fgets(buf, sizeof(buf), p))
+            commit = buf;
+        ::pclose(p);
+    }
+    while (!commit.empty() &&
+           (commit.back() == '\n' || commit.back() == '\r'))
+        commit.pop_back();
+    return commit.empty() ? "unknown" : commit;
+}
+
 } // namespace
 
 int
@@ -75,9 +95,9 @@ main(int argc, char **argv)
     unsigned jobs = static_cast<unsigned>(opts.get_u64(
         "jobs", env_u64("SGMS_JOBS", 0)));
     if (jobs == 0)
-        jobs = exec::ThreadPool::hardware_workers();
+        jobs = exec::hardware_workers();
     if (jobs < 2)
-        jobs = 2; // exercise the pool even on a 1-core box
+        jobs = 2; // exercise the threads even on a 1-core box
     std::string out_path = opts.get("out", "results/BENCH_exec.json");
 
     bench::banner("EXEC", "engine throughput: serial vs parallel vs "
@@ -91,7 +111,7 @@ main(int argc, char **argv)
     spec.mems = {MemConfig::Half, MemConfig::Quarter};
     spec.scale = scale;
     std::vector<Experiment> points = exec::expand_sweep(spec);
-    std::printf("grid: %zu points, %u workers\n", points.size(),
+    std::printf("grid: %zu points, %u threads\n", points.size(),
                 jobs);
 
     // Hermetic cache directory unless the caller wants to keep one.
@@ -124,21 +144,6 @@ main(int argc, char **argv)
     std::printf("%.2f s, %.2f points/s (%.2fx serial)\n", parallel_s,
                 points.size() / parallel_s, serial_s / parallel_s);
 
-    bench::section("processes (cache off)");
-    exec::ExecOptions proc_eo;
-    proc_eo.workers = jobs;
-    exec::Engine proc_engine(proc_eo);
-    t0 = std::chrono::steady_clock::now();
-    auto procs = proc_engine.run_all(points);
-    double procs_s = seconds_since(t0);
-    exec::ExecStats proc_stats = proc_engine.stats();
-    std::printf("%.2f s, %.2f points/s (%.2fx serial), "
-                "%llu degraded\n",
-                procs_s, points.size() / procs_s,
-                serial_s / procs_s,
-                static_cast<unsigned long long>(
-                    proc_stats.points_degraded));
-
     bench::section("warm cache");
     exec::ExecOptions cache_eo;
     cache_eo.jobs = jobs;
@@ -161,53 +166,36 @@ main(int argc, char **argv)
                 points.size());
 
     bool identical = blobs_of(serial) == blobs_of(parallel) &&
-                     blobs_of(serial) == blobs_of(procs) &&
                      report_of(serial) == report_of(parallel) &&
-                     report_of(serial) == report_of(procs) &&
-                     report_of(serial) == report_of(warm) &&
-                     proc_stats.points_degraded == 0;
+                     report_of(serial) == report_of(warm);
     bool all_cached = warm_stats.points_cached == points.size() &&
                       warm_stats.points_run == 0;
-    std::printf("byte-identical results (threads+processes): %s\n",
+    std::printf("byte-identical results (parallel+warm): %s\n",
                 identical ? "yes" : "NO");
     std::printf("warm pass simulated zero points: %s\n",
                 all_cached ? "yes" : "NO");
 
-    // Scaling curve: points/sec against the degree of parallelism,
-    // for both execution modes. Stops at the fleet size used above.
-    bench::section("scaling (points/s vs parallelism)");
-    struct ScalePoint
-    {
-        const char *mode;
-        unsigned n;
-        double secs;
-    };
-    std::vector<ScalePoint> curve;
-    Table st({"mode", "n", "seconds", "points/s", "speedup"});
-    for (unsigned n = 1; n <= jobs; n *= 2) {
-        for (const char *mode : {"threads", "processes"}) {
-            exec::ExecOptions eo;
-            if (std::string(mode) == "threads")
-                eo.jobs = n;
-            else
-                eo.workers = n;
-            exec::Engine engine(eo);
-            t0 = std::chrono::steady_clock::now();
-            auto r = engine.run_all(points);
-            double secs = seconds_since(t0);
-            identical = identical && blobs_of(r) == blobs_of(serial);
-            curve.push_back({mode, n, secs});
-            st.add_row({mode, Table::fmt_int(n),
-                        Table::fmt(secs, 2),
-                        Table::fmt(points.size() / secs, 2),
-                        Table::fmt(serial_s / secs, 2) + "x"});
-        }
+    // Scaling curve: points/sec at every thread count up to jobs.
+    bench::section("scaling (points/s vs threads)");
+    std::vector<double> curve; // seconds at n = index + 1
+    Table st({"threads", "seconds", "points/s", "speedup"});
+    for (unsigned n = 1; n <= jobs; ++n) {
+        exec::ExecOptions eo;
+        eo.jobs = n;
+        exec::Engine engine(eo);
+        t0 = std::chrono::steady_clock::now();
+        auto r = engine.run_all(points);
+        double secs = seconds_since(t0);
+        identical = identical && blobs_of(r) == blobs_of(serial);
+        curve.push_back(secs);
+        st.add_row({Table::fmt_int(n), Table::fmt(secs, 2),
+                    Table::fmt(points.size() / secs, 2),
+                    Table::fmt(serial_s / secs, 2) + "x"});
     }
     st.print(std::cout);
 
     bench::section("engine metrics");
     obs::print_metrics(std::cout, par_engine.metrics_snapshot());
-    obs::print_metrics(std::cout, proc_engine.metrics_snapshot());
 
     if (scratch_cache) {
         std::error_code ec;
@@ -219,31 +207,30 @@ main(int argc, char **argv)
         char buf[1024];
         std::snprintf(
             buf, sizeof(buf),
-            "{\"bench\":\"exec_throughput\",\"points\":%zu,"
+            "{\"bench\":\"exec_throughput\",\"commit\":\"%s\","
+            "\"nproc\":%u,\"points\":%zu,"
             "\"scale\":%g,\"jobs\":%u,"
             "\"serial_s\":%.4f,\"parallel_s\":%.4f,"
-            "\"processes_s\":%.4f,\"warm_cache_s\":%.4f,"
+            "\"warm_cache_s\":%.4f,"
             "\"serial_pps\":%.3f,\"parallel_pps\":%.3f,"
-            "\"processes_pps\":%.3f,\"warm_cache_pps\":%.3f,"
-            "\"parallel_speedup\":%.3f,\"processes_speedup\":%.3f,"
+            "\"warm_cache_pps\":%.3f,"
+            "\"parallel_speedup\":%.3f,"
             "\"warm_cache_speedup\":%.3f,"
             "\"identical\":%s,\"warm_all_cached\":%s,"
             "\"scaling\":[",
-            points.size(), scale, jobs, serial_s, parallel_s,
-            procs_s, warm_s, points.size() / serial_s,
-            points.size() / parallel_s, points.size() / procs_s,
+            source_commit().c_str(), exec::hardware_workers(),
+            points.size(), scale, jobs, serial_s, parallel_s, warm_s,
+            points.size() / serial_s, points.size() / parallel_s,
             points.size() / warm_s, serial_s / parallel_s,
-            serial_s / procs_s, serial_s / warm_s,
-            identical ? "true" : "false",
+            serial_s / warm_s, identical ? "true" : "false",
             all_cached ? "true" : "false");
         out << buf;
         for (size_t i = 0; i < curve.size(); ++i) {
             std::snprintf(buf, sizeof(buf),
-                          "%s{\"mode\":\"%s\",\"n\":%u,"
+                          "%s{\"threads\":%zu,"
                           "\"seconds\":%.4f,\"pps\":%.3f}",
-                          i ? "," : "", curve[i].mode, curve[i].n,
-                          curve[i].secs,
-                          points.size() / curve[i].secs);
+                          i ? "," : "", i + 1, curve[i],
+                          points.size() / curve[i]);
             out << buf;
         }
         out << "]}\n";

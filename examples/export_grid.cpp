@@ -8,7 +8,7 @@
  *               [--subpages=1024,2048] [--mems=half,quarter]
  *               [--clients=1,16,..] [--metrics-per-client]
  *               [--scale=S] [--json=FILE] [--csv=FILE]
- *               [--jobs=N] [--workers=N] [--point-timeout=MS]
+ *               [--jobs=N] [--point-timeout=MS]
  *               [--cache-dir=DIR] [--no-cache] [--cache-max-mb=N]
  *               [--cache-gc] [--trace-bin=FILE] [--trace-dir=DIR]
  *               [--config-overrides...]
@@ -16,13 +16,14 @@
  * Defaults reproduce the Figure 9 grid (all apps, fullpage + eager +
  * pipelining at 1K, 1/2-mem).
  *
- * --jobs=N shards the grid across N worker threads (0 = all cores;
- * SGMS_JOBS env). --workers=N forks N worker *processes* instead
- * (SGMS_WORKERS env), which additionally buys a per-point watchdog
- * (--point-timeout=MS) and crash isolation. Either way, output is
- * byte-identical to --jobs=1: results are merged back into serial
- * grid order, and the progress lines are mutex-guarded (they may
- * print in completion order). --cache-dir enables the content-
+ * --jobs=N runs the grid on N worker threads (0 = all cores;
+ * SGMS_JOBS env). Output is byte-identical to --jobs=1: results are
+ * merged back into serial grid order, and the progress lines are
+ * mutex-guarded (they may print out of grid order).
+ * --point-timeout=MS gives each point a cooperative wall-clock
+ * budget; a point that exhausts it is written as a zero row, named
+ * on stderr (serial index, label, app, cache key), and makes the
+ * run exit 1 after the outputs are written. --cache-dir enables the content-
  * addressed result cache, so a re-run recomputes only points whose
  * configuration changed; --cache-max-mb bounds the cache directory
  * with LRU eviction, and --cache-gc runs one eviction pass up front.
@@ -41,6 +42,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/logging.h"
 #include "common/options.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -79,7 +81,7 @@ main(int argc, char **argv)
                     "  [--clients=1,16,..] [--metrics-per-client]"
                     "\n  [--scale=S] "
                     "[--json=FILE] [--csv=FILE] [--jobs=N] "
-                    "[--workers=N] [--point-timeout=MS]\n"
+                    "[--point-timeout=MS]\n"
                     "  [--cache-dir=DIR] [--no-cache] "
                     "[--cache-max-mb=N] [--cache-gc]\n"
                     "  [--trace-bin=FILE] [--trace-dir=DIR] "
@@ -124,16 +126,23 @@ main(int argc, char **argv)
     apply_config_overrides(spec.base, opts);
 
     exec::ExecOptions eo = exec::ExecOptions::from_options(opts);
+    std::string csv_path = opts.get("csv", "");
+    std::string json_path = opts.get("json", "");
+    // A dropped or mistyped flag (say, --jobs misspelled) would
+    // otherwise run silently with its default.
+    for (const auto &typo : opts.unused())
+        warn("unrecognized option --%s (see --help)", typo.c_str());
+    std::vector<Experiment> points = exec::expand_sweep(spec);
     std::printf("running %zu experiment points (scale %g, jobs %u, "
-                "workers %u, cache %s)\n",
-                spec.point_count(), spec.scale, eo.jobs, eo.workers,
+                "cache %s)\n",
+                points.size(), spec.scale, eo.jobs,
                 eo.cache_enabled ? eo.cache_dir.c_str() : "off");
     // Progress may fire from worker threads (sweep.h contract); the
     // mutex keeps each line atomic instead of interleaving.
     std::mutex progress_mutex;
     exec::Engine engine(eo);
     auto results =
-        engine.run_sweep(spec, [&](const Experiment &ex) {
+        engine.run_all(points, [&](const Experiment &ex) {
             std::lock_guard<std::mutex> lock(progress_mutex);
             std::printf("  %s %s %s\n", ex.app.c_str(),
                         ex.label().c_str(), mem_config_name(ex.mem));
@@ -158,7 +167,6 @@ main(int argc, char **argv)
                    Table::fmt(ticks::to_ms(r.page_wait), 3)});
     }
 
-    std::string csv_path = opts.get("csv", "");
     if (!csv_path.empty()) {
         std::ofstream f(csv_path);
         t.print_csv(f);
@@ -167,11 +175,21 @@ main(int argc, char **argv)
         t.print_csv(std::cout);
     }
 
-    std::string json_path = opts.get("json", "");
     if (!json_path.empty()) {
         std::ofstream f(json_path);
         write_results_json(f, results);
         std::printf("wrote %s\n", json_path.c_str());
+    }
+
+    std::string degraded = exec::degraded_report(points, results);
+    if (!degraded.empty()) {
+        std::fprintf(stderr,
+                     "export_grid: %llu point(s) exhausted the "
+                     "wall budget and were written as zero rows:\n%s",
+                     static_cast<unsigned long long>(
+                         es.points_degraded),
+                     degraded.c_str());
+        return 1;
     }
     return 0;
 }

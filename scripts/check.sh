@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a strict warnings pass.
 #
-#   scripts/check.sh          configure + build + ctest (tier 1, run
-#                             twice: under SGMS_JOBS=2 for the
-#                             thread-pool engine path and under
-#                             SGMS_WORKERS=2 for the forked process
-#                             fleet), a multi-process byte-identity
-#                             smoke, then a -Wall -Wextra -Werror
+#   scripts/check.sh          configure + build + ctest (tier 1,
+#                             under SGMS_JOBS=2 for the parallel
+#                             engine path), two sweep byte-identity
+#                             smokes (export_grid --jobs=nproc vs
+#                             --jobs=1, heap and mapped trace
+#                             tiers), then a -Wall -Wextra -Werror
 #                             rebuild in a separate tree
 #                             (build-strict/), the same strict
 #                             build with span tracing compiled out
@@ -45,34 +45,29 @@ cmake --build build -j "$(nproc)"
 
 echo "== tier 1: ctest (SGMS_JOBS=2) =="
 # SGMS_JOBS=2 routes every run_sweep/bench batch in the suite through
-# the work-stealing engine; results must stay byte-identical.
+# the parallel engine; results must stay byte-identical.
 (cd build && SGMS_JOBS=2 ctest --output-on-failure -j "$(nproc)")
-
-echo "== tier 1: ctest (SGMS_WORKERS=2, process fleet) =="
-# Same suite again with env-configured sweeps sharded across forked
-# worker processes instead of pool threads.
-(cd build && SGMS_WORKERS=2 ctest --output-on-failure -j "$(nproc)")
 
 tmp_trace="$(mktemp /tmp/sgms-trace.XXXXXX.json)"
 tmp_grid="$(mktemp -d /tmp/sgms-grid.XXXXXX)"
 trap 'rm -rf "$tmp_trace" "$tmp_grid"' EXIT
 
-echo "== smoke: multi-process sweep is byte-identical =="
+echo "== smoke: parallel sweep is byte-identical =="
 ./build/examples/export_grid --scale=0.05 --jobs=1 \
     --json="$tmp_grid/serial.json" --csv="$tmp_grid/serial.csv" \
     >/dev/null
-./build/examples/export_grid --scale=0.05 --workers=2 \
-    --json="$tmp_grid/workers.json" --csv="$tmp_grid/workers.csv" \
+./build/examples/export_grid --scale=0.05 --jobs="$(nproc)" \
+    --json="$tmp_grid/parallel.json" --csv="$tmp_grid/parallel.csv" \
     >/dev/null
-cmp "$tmp_grid/serial.json" "$tmp_grid/workers.json"
-cmp "$tmp_grid/serial.csv" "$tmp_grid/workers.csv"
-echo "   workers=2 output matches jobs=1 byte for byte"
+cmp "$tmp_grid/serial.json" "$tmp_grid/parallel.json"
+cmp "$tmp_grid/serial.csv" "$tmp_grid/parallel.csv"
+echo "   jobs=$(nproc) output matches jobs=1 byte for byte"
 
 echo "== smoke: mapped trace tier is byte-identical =="
 # Same grid with SGMS_TRACE_DIR: traces are baked once and replayed
-# through mmap by a forked worker fleet sharing the baked files.
+# through mmap by every worker thread sharing the baked files.
 SGMS_TRACE_DIR="$tmp_grid/traces" \
-    ./build/examples/export_grid --scale=0.05 --workers=2 \
+    ./build/examples/export_grid --scale=0.05 --jobs="$(nproc)" \
     --json="$tmp_grid/mapped.json" --csv="$tmp_grid/mapped.csv" \
     >/dev/null
 cmp "$tmp_grid/serial.json" "$tmp_grid/mapped.json"
@@ -120,8 +115,8 @@ if [[ $quick -eq 0 ]]; then
 
     echo "== sanitizers: TSan build + ctest (SGMS_JOBS=2) =="
     # TSan is incompatible with ASan/LSan, hence its own tree; run
-    # with the engine forced parallel so worker/submitter/cache races
-    # actually get exercised.
+    # with the engine forced parallel so point-index/result-slot/cache
+    # races actually get exercised.
     cmake -B build-tsan -S . -DSGMS_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$(nproc)"
     (cd build-tsan &&

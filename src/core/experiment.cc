@@ -44,10 +44,10 @@ uint64_t
 app_footprint_pages(const std::string &app, double scale,
                     uint32_t page_size)
 {
-    // Exec-engine workers hit this concurrently; the lock is held
+    // Exec-engine threads hit this concurrently; the lock is held
     // across the measurement so the first caller of a key computes
     // it once and the rest wait for the memo instead of redundantly
-    // streaming the same trace on every worker.
+    // streaming the same trace on every thread.
     static std::mutex mutex;
     static std::map<std::tuple<std::string, double, uint32_t>, uint64_t>
         cache;

@@ -5,10 +5,10 @@
  * Used by the data-export tooling and sensitivity studies.
  *
  * Since the exec engine landed, run_sweep is a thin front end over
- * exec::Engine (exec/parallel_runner.h): points are sharded across a
- * work-stealing pool — or, with SGMS_WORKERS set, a fleet of forked
- * worker processes — and merged back into serial order, so the
- * result vector is byte-identical whatever the parallelism.
+ * exec::Engine (exec/parallel_runner.h): points are handed out to
+ * SGMS_JOBS threads by one shared index and merged back into serial
+ * order, so the result vector is byte-identical whatever the
+ * parallelism.
  */
 
 #ifndef SGMS_CORE_SWEEP_H
@@ -64,18 +64,18 @@ struct SweepSpec
  * ("fullpage", "disk") run once per (app, mem) regardless of the
  * subpage list.
  *
- * Execution is governed by the environment (SGMS_JOBS, SGMS_WORKERS,
+ * Execution is governed by the environment (SGMS_JOBS,
  * SGMS_POINT_TIMEOUT_MS, SGMS_CACHE, SGMS_CACHE_DIR,
  * SGMS_CACHE_MAX_MB — see exec/exec_options.h); the default is the
  * serial fast path. Results always come back in serial grid order.
  *
  * Progress-callback CONTRACT: @p progress, if set, fires exactly
  * once per point, before that point runs — but when jobs > 1 it
- * fires from WORKER threads, concurrently and in completion order.
+ * fires from WORKER threads, concurrently, in the order the threads
+ * claim points.
  * Callbacks must be thread-safe: guard printing with a mutex, count
- * with atomics. (Enforced: the engine asserts one call per point.)
- * In multi-process mode (workers >= 1) callbacks fire on the calling
- * thread, in dispatch order.
+ * with atomics. Exactly one call per point holds by construction:
+ * each serial index is claimed by one thread.
  */
 std::vector<SimResult>
 run_sweep(const SweepSpec &spec,

@@ -1,9 +1,16 @@
 #include "exec/exec_options.h"
 
-#include "exec/thread_pool.h"
+#include <thread>
 
 namespace sgms::exec
 {
+
+unsigned
+hardware_workers()
+{
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
 
 namespace
 {
@@ -12,7 +19,7 @@ unsigned
 resolve_jobs(uint64_t requested)
 {
     if (requested == 0)
-        return ThreadPool::hardware_workers();
+        return hardware_workers();
     return static_cast<unsigned>(requested);
 }
 
@@ -23,11 +30,6 @@ ExecOptions::from_env()
 {
     ExecOptions eo;
     eo.jobs = resolve_jobs(env_u64("SGMS_JOBS", 1));
-    // In the environment, 0 (or unset) means "stay in-process" —
-    // there is no env spelling for "all cores as processes", since a
-    // stray variable must never silently fork a fleet.
-    eo.workers =
-        static_cast<unsigned>(env_u64("SGMS_WORKERS", 0));
     eo.point_timeout_ms = env_u64("SGMS_POINT_TIMEOUT_MS", 0);
     eo.cache_dir = env_string("SGMS_CACHE_DIR", eo.cache_dir);
     eo.cache_enabled = env_u64("SGMS_CACHE", 0) != 0;
@@ -42,10 +44,6 @@ ExecOptions::from_options(const Options &opts)
     ExecOptions eo = from_env();
     if (opts.has("jobs"))
         eo.jobs = resolve_jobs(opts.get_u64("jobs", 1));
-    if (opts.has("workers")) {
-        // On the flag, asking for workers explicitly, 0 = all cores.
-        eo.workers = resolve_jobs(opts.get_u64("workers", 0));
-    }
     if (opts.has("point-timeout"))
         eo.point_timeout_ms = opts.get_u64("point-timeout", 0);
     if (opts.has("cache-dir")) {
@@ -66,9 +64,9 @@ ExecOptions::from_options(const Options &opts)
 const char *
 ExecOptions::help()
 {
-    return "execution: --jobs=N (0=all cores; SGMS_JOBS) "
-           "--workers=N (forked processes; SGMS_WORKERS)\n"
-           "  --point-timeout=MS (watchdog; SGMS_POINT_TIMEOUT_MS) "
+    return "execution: --jobs=N (0=all cores; SGMS_JOBS)\n"
+           "  --point-timeout=MS (cooperative wall budget; "
+           "SGMS_POINT_TIMEOUT_MS) "
            "--cache-dir=DIR (SGMS_CACHE_DIR; implies cache on)\n"
            "  --no-cache (SGMS_CACHE=1 enables; default off) "
            "--cache-max-mb=N (LRU bound; SGMS_CACHE_MAX_MB) "

@@ -7,19 +7,14 @@
  *
  *   --jobs=N        worker threads; 0 = all hardware threads.
  *                   Env: SGMS_JOBS. Default 1 (serial fast path).
- *   --workers=N     forked worker *processes*; takes precedence over
- *                   --jobs when nonzero. 0 on the flag means all
- *                   hardware threads. Env: SGMS_WORKERS (unset or 0 =
- *                   stay in-process). Output is byte-identical to the
- *                   serial path at any worker count.
- *   --point-timeout=MS  per-point wall-clock budget. In workers mode
- *                   a point over budget has its worker killed; in
- *                   serial/thread-pool mode the simulator checks the
- *                   budget cooperatively at trace-batch boundaries
- *                   and aborts the point. Either way the point is
- *                   surfaced as the same deterministic degraded
- *                   result and counted in exec.timeouts. Env:
- *                   SGMS_POINT_TIMEOUT_MS. Default 0 (no watchdog).
+ *                   Output is byte-identical to the serial path at
+ *                   any thread count.
+ *   --point-timeout=MS  per-point wall-clock budget, checked
+ *                   cooperatively by the simulator at trace-batch
+ *                   boundaries. A point over budget is aborted and
+ *                   surfaced as a deterministic degraded result,
+ *                   counted in exec.timeouts. Env:
+ *                   SGMS_POINT_TIMEOUT_MS. Default 0 (no budget).
  *   --cache-dir=D   result-cache directory; giving it enables the
  *                   cache. Env: SGMS_CACHE_DIR. Default .sgms-cache/.
  *   --no-cache      disable the result cache for this run.
@@ -54,13 +49,7 @@ struct ExecOptions
     /** Worker threads for grid runs; 1 = serial in-caller. */
     unsigned jobs = 1;
 
-    /** Forked worker processes; 0 = in-process (threads/serial). */
-    unsigned workers = 0;
-
-    /**
-     * Per-point wall-clock budget (all modes; cooperative outside
-     * workers mode); 0 = none.
-     */
+    /** Cooperative per-point wall-clock budget; 0 = none. */
     uint64_t point_timeout_ms = 0;
 
     /** Consult/populate the on-disk result cache. */
@@ -76,21 +65,24 @@ struct ExecOptions
     bool cache_gc = false;
 
     /**
-     * Environment layer only (SGMS_JOBS, SGMS_WORKERS,
-     * SGMS_POINT_TIMEOUT_MS, SGMS_CACHE[_DIR], SGMS_CACHE_MAX_MB).
+     * Environment layer only (SGMS_JOBS, SGMS_POINT_TIMEOUT_MS,
+     * SGMS_CACHE[_DIR], SGMS_CACHE_MAX_MB).
      */
     static ExecOptions from_env();
 
     /**
-     * Flags layered over the environment: --jobs, --workers,
-     * --point-timeout, --cache-dir, --no-cache, --cache-max-mb,
-     * --cache-gc (see file header).
+     * Flags layered over the environment: --jobs, --point-timeout,
+     * --cache-dir, --no-cache, --cache-max-mb, --cache-gc (see file
+     * header).
      */
     static ExecOptions from_options(const Options &opts);
 
     /** One-line help text for the flags above. */
     static const char *help();
 };
+
+/** A sensible default thread count for this machine (>= 1). */
+unsigned hardware_workers();
 
 } // namespace sgms::exec
 

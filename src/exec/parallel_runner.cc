@@ -1,12 +1,11 @@
 #include "exec/parallel_runner.h"
 
 #include <algorithm>
-#include <future>
+#include <exception>
+#include <mutex>
+#include <thread>
 
-#include "common/logging.h"
 #include "core/simulator.h"
-#include "exec/result_codec.h"
-#include "exec/supervisor.h"
 
 namespace sgms::exec
 {
@@ -27,12 +26,12 @@ has_observers(const Experiment &ex)
 }
 
 /**
- * Stand-in result for a point the fleet could not finish (watchdog
- * kill or repeated crash). Identity fields are filled from the spec
- * alone — no footprint computation, the point may be the very thing
- * that hangs — all measurements stay zero, and an `exec.degraded`
- * counter marks it for downstream consumers. Pure function of the
- * experiment, so reruns stay deterministic.
+ * Stand-in result for a point that exhausted its wall budget.
+ * Identity fields are filled from the spec alone — no footprint
+ * computation, the point may be the very thing that hangs — all
+ * measurements stay zero, and an `exec.degraded` counter marks it
+ * for downstream consumers. Pure function of the experiment, so
+ * reruns stay deterministic.
  */
 SimResult
 degraded_result(const Experiment &ex)
@@ -50,6 +49,15 @@ degraded_result(const Experiment &ex)
     degraded.value = 1.0;
     r.metrics.push_back(std::move(degraded));
     return r;
+}
+
+bool
+is_degraded(const SimResult &r)
+{
+    for (const auto &m : r.metrics)
+        if (m.name == "exec.degraded")
+            return true;
+    return false;
 }
 
 } // namespace
@@ -90,6 +98,23 @@ expand_sweep(const SweepSpec &spec)
     return points;
 }
 
+std::string
+degraded_report(const std::vector<Experiment> &points,
+                const std::vector<SimResult> &results)
+{
+    std::string report;
+    for (size_t i = 0; i < results.size() && i < points.size(); ++i) {
+        if (!is_degraded(results[i]))
+            continue;
+        const Experiment &ex = points[i];
+        report += "point " + std::to_string(i) + ": " + ex.label() +
+                  " app " + ex.app + " mem " +
+                  mem_config_name(ex.mem) + " key " +
+                  cache_key_of(ex).hex() + "\n";
+    }
+    return report;
+}
+
 Engine::Engine(ExecOptions opts) : opts_(opts)
 {
     if (opts_.jobs == 0)
@@ -111,19 +136,6 @@ Engine::Engine(ExecOptions opts) : opts_(opts)
 }
 
 Engine::~Engine() = default;
-
-ThreadPool &
-Engine::pool()
-{
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    if (!pool_) {
-        // Bound the waiting-task backlog to a few rounds per worker:
-        // grids can be huge and closures capture whole Experiments.
-        pool_ = std::make_unique<ThreadPool>(
-            opts_.jobs, static_cast<size_t>(opts_.jobs) * 4);
-    }
-    return *pool_;
-}
 
 SimResult
 Engine::execute_point(const Experiment &ex, bool &degraded)
@@ -175,93 +187,15 @@ Engine::run(const Experiment &ex)
 }
 
 std::vector<SimResult>
-Engine::run_all_processes(const std::vector<Experiment> &points,
-                          const Progress &progress)
-{
-    std::vector<SimResult> out(points.size());
-
-    // The parent keeps its historical duties: cache consultation and
-    // observer points (whose side effects would be lost in a child)
-    // stay on the calling thread; only plain simulation work is
-    // shipped to the fleet.
-    std::vector<size_t> todo;
-    todo.reserve(points.size());
-    std::vector<CacheKey> keys(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Experiment &ex = points[i];
-        if (cache_ && !has_observers(ex)) {
-            keys[i] = cache_key_of(ex);
-            if (auto hit = cache_->load(keys[i])) {
-                if (progress)
-                    progress(ex);
-                out[i] = std::move(*hit);
-                points_cached_.fetch_add(
-                    1, std::memory_order_relaxed);
-                continue;
-            }
-        }
-        if (has_observers(ex)) {
-            if (progress)
-                progress(ex);
-            out[i] = ex.run();
-            points_run_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        todo.push_back(i);
-    }
-
-    if (!todo.empty()) {
-        Supervisor::Config cfg;
-        cfg.workers = static_cast<unsigned>(
-            std::min<size_t>(opts_.workers, todo.size()));
-        cfg.point_timeout_ms = opts_.point_timeout_ms;
-        Supervisor sup(points, cfg);
-        std::vector<Supervisor::Outcome> outcomes =
-            sup.run(todo, progress);
-
-        for (size_t k = 0; k < todo.size(); ++k) {
-            size_t i = todo[k];
-            Supervisor::Outcome &o = outcomes[k];
-            if (o.kind == Supervisor::Outcome::Kind::Ok) {
-                SimResult r;
-                if (read_result_blob(o.blob, r)) {
-                    if (cache_ && !has_observers(points[i]))
-                        cache_->store(keys[i], r);
-                    out[i] = std::move(r);
-                    points_run_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    continue;
-                }
-                warn("exec: undecodable worker blob for point %zu",
-                     i);
-            }
-            out[i] = degraded_result(points[i]);
-            points_degraded_.fetch_add(1,
-                                       std::memory_order_relaxed);
-        }
-
-        const SupervisorStats &ss = sup.stats();
-        timeouts_.fetch_add(ss.timeouts, std::memory_order_relaxed);
-        worker_crashes_.fetch_add(ss.crashes,
-                                  std::memory_order_relaxed);
-        worker_respawns_.fetch_add(ss.respawns,
-                                   std::memory_order_relaxed);
-    }
-    return out;
-}
-
-std::vector<SimResult>
 Engine::run_all(const std::vector<Experiment> &points,
                 const Progress &progress)
 {
-    if (opts_.workers >= 1 && points.size() > 1)
-        return run_all_processes(points, progress);
+    const size_t n = points.size();
+    std::vector<SimResult> out(n);
 
-    std::vector<SimResult> out(points.size());
-
-    if (opts_.jobs <= 1 || points.size() <= 1) {
+    if (opts_.jobs <= 1 || n <= 1) {
         // Serial fast path: historical semantics, caller's thread.
-        for (size_t i = 0; i < points.size(); ++i) {
+        for (size_t i = 0; i < n; ++i) {
             if (progress)
                 progress(points[i]);
             out[i] = run_point(points[i]);
@@ -269,31 +203,58 @@ Engine::run_all(const std::vector<Experiment> &points,
         return out;
     }
 
-    // Parallel: each task computes into its serial slot, so waiting
-    // on the futures in any order yields the deterministic merge.
-    std::atomic<uint64_t> progress_calls{0};
-    std::vector<std::future<void>> done;
-    done.reserve(points.size());
-    ThreadPool &tp = pool();
-    for (size_t i = 0; i < points.size(); ++i) {
-        const Experiment &ex = points[i];
-        SimResult *slot = &out[i];
-        done.push_back(tp.submit([this, &ex, slot, &progress,
-                                  &progress_calls] {
-            if (progress) {
-                progress(ex); // worker thread; see header contract
-                progress_calls.fetch_add(1,
-                                         std::memory_order_relaxed);
+    // Parallel: each point is a whole simulation (milliseconds to
+    // minutes), so one shared counter hands out serial indices and no
+    // queue or stealing is needed to keep the threads busy. Each
+    // thread computes into its point's slot, so the slots are the
+    // deterministic merge.
+    std::atomic<size_t> next{0};
+    std::mutex failure_mutex;
+    size_t failed_index = n;
+    std::exception_ptr failure;
+    auto drain = [&] {
+        for (size_t i; (i = next.fetch_add(1)) < n;) {
+            try {
+                if (progress)
+                    progress(points[i]); // worker thread
+                out[i] = run_point(points[i]);
+            } catch (...) {
+                // Stop handing out points. Every lower index is
+                // already claimed and runs to completion, so the
+                // lowest-index failure is still seen and the choice
+                // below does not depend on timing.
+                next.store(n);
+                std::lock_guard<std::mutex> lock(failure_mutex);
+                if (i < failed_index) {
+                    failed_index = i;
+                    failure = std::current_exception();
+                }
             }
-            *slot = run_point(ex);
-        }));
+        }
+    };
+
+    const unsigned nthreads =
+        static_cast<unsigned>(std::min<size_t>(opts_.jobs, n));
+    std::vector<std::thread> threads;
+    threads.reserve(nthreads);
+    try {
+        for (unsigned t = 0; t < nthreads; ++t)
+            threads.emplace_back(drain);
+    } catch (...) {
+        next.store(n); // could not start a thread: finish and rethrow
+        for (auto &t : threads)
+            t.join();
+        throw;
     }
-    for (auto &f : done)
-        f.get();
-    // One callback per point, no more, no fewer — catches progress
-    // wrappers that swallow or double-fire under concurrency.
-    SGMS_ASSERT(!progress ||
-                progress_calls.load() == points.size());
+    for (auto &t : threads)
+        t.join();
+
+    unsigned seen = workers_.load();
+    while (seen < nthreads &&
+           !workers_.compare_exchange_weak(seen, nthreads)) {
+    }
+    if (failure)
+        std::rethrow_exception(failure);
     return out;
 }
 
@@ -314,18 +275,7 @@ Engine::stats() const
     s.points_total =
         s.points_run + s.points_cached + s.points_degraded;
     s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    s.worker_crashes =
-        worker_crashes_.load(std::memory_order_relaxed);
-    s.worker_respawns =
-        worker_respawns_.load(std::memory_order_relaxed);
-    s.proc_workers = opts_.workers;
-    {
-        std::lock_guard<std::mutex> lock(pool_mutex_);
-        if (pool_) {
-            s.pool = pool_->stats();
-            s.workers = pool_->worker_count();
-        }
-    }
+    s.workers = workers_.load(std::memory_order_relaxed);
     if (cache_)
         s.cache = cache_->stats();
     return s;
@@ -344,13 +294,7 @@ Engine::metrics_snapshot() const
     reg.counter("exec.cache_evictions").inc(s.cache.evictions);
     reg.counter("exec.points_degraded").inc(s.points_degraded);
     reg.counter("exec.timeouts").inc(s.timeouts);
-    reg.counter("exec.worker_crashes").inc(s.worker_crashes);
-    reg.counter("exec.worker_respawns").inc(s.worker_respawns);
-    reg.counter("exec.tasks_stolen").inc(s.pool.stolen);
     reg.gauge("exec.pool_workers").set(s.workers);
-    reg.gauge("exec.proc_workers").set(s.proc_workers);
-    reg.gauge("exec.queue_peak")
-        .set(static_cast<double>(s.pool.peak_queued));
     return reg.snapshot();
 }
 

@@ -1,40 +1,37 @@
 /**
  * @file
- * Parallel experiment engine: shard a grid of independent simulation
- * points across a work-stealing pool, merge results back into exact
- * serial order, and serve repeated points from the result cache.
+ * Parallel experiment engine: run a grid of independent simulation
+ * points on a few threads, merge results back into exact serial
+ * order, and serve repeated points from the result cache.
  *
  * Every point is a pure function of its Experiment, so the engine
  * can schedule them in any order and still return a result vector
  * byte-identical to the historical serial `run_sweep` — results are
  * written into their precomputed slot (the serial index), which *is*
  * the deterministic merge; there is no reduction step to get wrong.
+ * With jobs > 1, min(jobs, n) threads claim serial indices from one
+ * shared atomic counter until the grid is exhausted.
  *
  * Progress-callback contract: with jobs == 1 the callback fires on
  * the calling thread, in serial order, before each point — exactly
  * the historical behavior. With jobs > 1 it fires on WORKER threads,
- * concurrently and in completion order; callbacks must be
- * thread-safe (take a lock around printing, use atomics for
- * counting). The engine asserts that exactly one callback fired per
- * point. Cached points still get a callback: progress reports
- * points *delivered*, not simulations executed.
+ * concurrently, in the order the threads claim points; callbacks
+ * must be thread-safe (take a lock around printing, use atomics for
+ * counting). Either way it fires exactly once per point, since each
+ * serial index is claimed once. Cached points still get a callback:
+ * progress reports points *delivered*, not simulations executed.
+ *
+ * Failure contract: if a point (or its progress callback) throws,
+ * threads stop claiming new points, every thread is joined, and
+ * run_all rethrows the exception of the lowest-index failed point.
+ * A point that exhausts opts.point_timeout_ms does not throw: it
+ * yields a *degraded* result (identity fields filled, everything
+ * else zero, an `exec.degraded` counter in its metrics) that
+ * degraded_report() names.
  *
  * Cache interaction: a point whose config carries run observers
  * (cfg.tracer / cfg.timeline) is never served from — or stored to —
  * the cache, since a cached result cannot replay their side effects.
- *
- * Multi-process mode: with opts.workers >= 1 the grid is sharded
- * across a fleet of forked worker processes instead of pool threads
- * (exec/supervisor.h). The parent still owns the serial point order,
- * consults the cache, and runs observer points inline; everything
- * else crosses a pipe as (index, fingerprint) and comes back as a
- * lossless result blob into its precomputed slot — output stays
- * byte-identical to serial at any worker count. Process isolation
- * additionally buys a per-point wall-clock watchdog and crash
- * recovery; a point that times out or crashes repeatedly yields a
- * *degraded* result: identity fields filled, everything else zero,
- * and an `exec.degraded` counter in its metrics. Progress fires on
- * the calling thread in this mode, exactly once per point.
  */
 
 #ifndef SGMS_EXEC_PARALLEL_RUNNER_H
@@ -43,13 +40,12 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/sweep.h"
 #include "exec/exec_options.h"
 #include "exec/result_cache.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace sgms::exec
@@ -63,22 +59,28 @@ namespace sgms::exec
  */
 std::vector<Experiment> expand_sweep(const SweepSpec &spec);
 
+/**
+ * One line per degraded entry of @p results (those whose metrics
+ * carry an `exec.degraded` counter), which must be paired by index
+ * with @p points: "point I: LABEL app APP mem MEM key HEX".
+ * Empty when every point completed. export_grid and the benches
+ * print it and exit non-zero, so a timed-out point never passes as a
+ * zero row.
+ */
+std::string degraded_report(const std::vector<Experiment> &points,
+                            const std::vector<SimResult> &results);
+
 /** Aggregate engine counters (monotone over the engine lifetime). */
 struct ExecStats
 {
     uint64_t points_total = 0;  ///< points delivered (run + cached)
     uint64_t points_run = 0;    ///< simulated for real
     uint64_t points_cached = 0; ///< served from the result cache
-    unsigned workers = 0;       ///< pool size (0: never went parallel)
-    PoolStats pool;             ///< zero until a parallel run happens
+    uint64_t points_degraded = 0; ///< points over their wall budget
+    uint64_t timeouts = 0;      ///< wall-budget aborts
+    /** Most threads one run_all used (0: never went parallel). */
+    unsigned workers = 0;
     CacheStats cache;           ///< zero when the cache is disabled
-
-    // Multi-process mode (all zero when opts.workers == 0).
-    uint64_t points_degraded = 0; ///< timed out or crashed points
-    uint64_t timeouts = 0;        ///< workers killed by the watchdog
-    uint64_t worker_crashes = 0;  ///< workers that died mid-point
-    uint64_t worker_respawns = 0; ///< replacement workers forked
-    unsigned proc_workers = 0;    ///< configured process-fleet size
 };
 
 class Engine
@@ -116,15 +118,13 @@ class Engine
      * exec.* counters as a metrics snapshot (obs/metrics.h):
      * exec.points_run, exec.points_cached, exec.cache_stores,
      * exec.cache_decode_failures, exec.cache_evictions,
-     * exec.points_degraded, exec.timeouts, exec.worker_crashes,
-     * exec.worker_respawns, exec.tasks_stolen, exec.pool_workers,
-     * exec.proc_workers, exec.queue_peak.
+     * exec.points_degraded, exec.timeouts, exec.pool_workers.
      */
     std::vector<obs::MetricSample> metrics_snapshot() const;
 
     /**
      * Process-wide engine configured from the environment (SGMS_JOBS,
-     * SGMS_WORKERS, SGMS_POINT_TIMEOUT_MS, SGMS_CACHE, SGMS_CACHE_DIR,
+     * SGMS_POINT_TIMEOUT_MS, SGMS_CACHE, SGMS_CACHE_DIR,
      * SGMS_CACHE_MAX_MB) at first use; what the benches' run_labeled
      * routes through.
      */
@@ -134,28 +134,19 @@ class Engine
     SimResult run_point(const Experiment &ex);
     /**
      * Simulate @p ex, applying the cooperative wall budget when
-     * opts_.point_timeout_ms is set (serial and thread-pool modes;
-     * the process fleet has its own SIGKILL watchdog). On budget
-     * exhaustion @p degraded is set and the deterministic degraded
-     * result shape — the same one the supervisor path produces — is
+     * opts_.point_timeout_ms is set. On budget exhaustion @p degraded
+     * is set and the deterministic degraded result shape is
      * returned; degraded results are never cached.
      */
     SimResult execute_point(const Experiment &ex, bool &degraded);
-    std::vector<SimResult>
-    run_all_processes(const std::vector<Experiment> &points,
-                      const Progress &progress);
-    ThreadPool &pool();
 
     ExecOptions opts_;
     std::unique_ptr<ResultCache> cache_;
-    mutable std::mutex pool_mutex_; ///< guards lazy pool_ creation
-    std::unique_ptr<ThreadPool> pool_;
     std::atomic<uint64_t> points_run_{0};
     std::atomic<uint64_t> points_cached_{0};
     std::atomic<uint64_t> points_degraded_{0};
     std::atomic<uint64_t> timeouts_{0};
-    std::atomic<uint64_t> worker_crashes_{0};
-    std::atomic<uint64_t> worker_respawns_{0};
+    std::atomic<unsigned> workers_{0};
 };
 
 } // namespace sgms::exec

@@ -14,7 +14,7 @@
  * cold trace is bounded by the page cache, not by a load pass:
  * startup to first reference is an open+mmap (microseconds, however
  * large the trace), traces far bigger than RAM replay with the
- * kernel paging the window in and out, and forked worker fleets
+ * kernel paging the window in and out, and concurrent processes
  * share one physical copy of every baked trace.
  */
 

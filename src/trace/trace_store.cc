@@ -253,8 +253,8 @@ make_stored_app_trace(const std::string &app, double scale,
 
     // Mapped tier first: a bake costs one generation pass ever
     // (across processes), the mapping is shared physically with
-    // workers, and mapped bytes are file-backed so the heap budget
-    // does not apply.
+    // every process that maps it, and mapped bytes are file-backed so
+    // the heap budget does not apply.
     std::string dir = store_dir(s);
     if (!dir.empty()) {
         auto file = map_baked(s, app, scale, seed, dir);

@@ -14,8 +14,8 @@
  *    tmp+rename, like exec::ResultCache blobs) and subsequently
  *    mmap'd (trace/mmap_trace.h). Process start is an open+mmap
  *    instead of a generation pass, traces bigger than RAM replay
- *    through the page cache, forked worker fleets (--workers=N)
- *    share one physical copy, and a later process reuses the bake.
+ *    through the page cache, concurrent processes share one
+ *    physical copy, and a later process reuses the bake.
  *    Mapped bytes are file-backed and evictable by the kernel, so
  *    they do NOT count against the heap budget below; they are
  *    reported separately as TraceStoreStats::mapped_bytes.

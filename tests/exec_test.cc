@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the parallel execution engine (src/exec/): thread pool
- * semantics, result-blob codec fidelity, cache keying and blob
- * robustness, and the engine's determinism + progress contract.
+ * Tests for the parallel execution engine (src/exec/): result-blob
+ * codec fidelity, cache keying and blob robustness, and the engine's
+ * determinism, progress and exception contracts.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "exec/parallel_runner.h"
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
-#include "exec/thread_pool.h"
 #include "net/timeline.h"
 
 namespace sgms
@@ -35,7 +34,6 @@ using exec::CacheKey;
 using exec::Engine;
 using exec::ExecOptions;
 using exec::ResultCache;
-using exec::ThreadPool;
 
 /** Fresh, empty per-test cache directory under the gtest temp dir. */
 std::string
@@ -61,114 +59,6 @@ report_of(const std::vector<SimResult> &results)
     std::ostringstream os;
     write_results_json(os, results, /*include_faults=*/true);
     return os.str();
-}
-
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, SubmitReturnsFutureResults)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.worker_count(), 3u);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[i].get(), i * i);
-    pool.wait_idle();
-    exec::PoolStats s = pool.stats();
-    EXPECT_EQ(s.submitted, 64u);
-    EXPECT_EQ(s.executed, 64u);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptionsThroughFutures)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-    // The pool itself survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, DestructorDrainsSubmittedWork)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&ran] { ran.fetch_add(1); });
-        // No explicit wait: ~ThreadPool must finish everything.
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilAllTasksFinish)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&ran] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ran.fetch_add(1);
-        });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, IdleWorkerStealsFromBusySiblingsDeque)
-{
-    ThreadPool pool(2);
-    // Gate the first task so the worker that takes it stays busy
-    // while 16 more tasks pile up round-robin across BOTH deques.
-    // The free worker can only run the blocked worker's share by
-    // stealing — we hold the gate until every fast task finished.
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    auto blocker = pool.submit([opened] { opened.wait(); });
-    std::vector<std::future<void>> fast;
-    for (int i = 0; i < 16; ++i)
-        fast.push_back(pool.submit([] {}));
-    for (auto &f : fast)
-        f.wait();
-    EXPECT_GE(pool.stats().stolen, 1u);
-    gate.set_value();
-    blocker.wait();
-    pool.wait_idle();
-    EXPECT_EQ(pool.stats().executed, 17u);
-}
-
-TEST(ThreadPool, BoundedQueueBlocksSubmitters)
-{
-    ThreadPool pool(1, /*queue_capacity=*/2);
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    pool.submit([opened] { opened.wait(); }); // occupies the worker
-    std::atomic<int> submitted{0}, ran{0};
-    std::thread submitter([&] {
-        for (int i = 0; i < 6; ++i) {
-            pool.submit([&ran] { ran.fetch_add(1); });
-            submitted.fetch_add(1);
-        }
-    });
-    // With the worker gated, only `queue_capacity` submits can land;
-    // the rest must block rather than buffer unboundedly.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_LE(submitted.load(), 2);
-    gate.set_value();
-    submitter.join();
-    pool.wait_idle();
-    EXPECT_EQ(submitted.load(), 6);
-    EXPECT_EQ(ran.load(), 6);
-    EXPECT_LE(pool.stats().peak_queued, 2u);
-}
-
-TEST(ThreadPoolDeathTest, SubmitAfterShutdownPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    ThreadPool pool(1);
-    pool.shutdown();
-    EXPECT_DEATH(pool.submit([] {}), "submit after shutdown");
 }
 
 // --------------------------------------------------------------- codec
@@ -536,23 +426,28 @@ TEST(Engine, ParallelResultsAreByteIdenticalToSerial)
     Engine serial(serial_eo);
     std::vector<SimResult> s = serial.run_sweep(spec);
 
-    ExecOptions par_eo;
-    par_eo.jobs = 8; // more workers than points is fine
-    Engine par(par_eo);
-    std::vector<SimResult> p = par.run_sweep(spec);
-
     ASSERT_EQ(s.size(), spec.point_count());
-    ASSERT_EQ(p.size(), s.size());
-    // Bytes, not fields: the lossless blob covers every field, and
-    // the report is what downstream tooling actually diffs.
-    EXPECT_EQ(blobs_of(p), blobs_of(s));
-    EXPECT_EQ(report_of(p), report_of(s));
 
-    exec::ExecStats ps = par.stats();
-    EXPECT_EQ(ps.points_run, s.size());
-    EXPECT_EQ(ps.points_cached, 0u);
-    EXPECT_EQ(ps.workers, 8u);
-    EXPECT_EQ(ps.pool.executed, s.size());
+    // Any thread count: fewer threads than points, a count that does
+    // not divide the grid, and more threads than points.
+    for (unsigned jobs : {2u, 3u, 8u}) {
+        ExecOptions par_eo;
+        par_eo.jobs = jobs;
+        Engine par(par_eo);
+        std::vector<SimResult> p = par.run_sweep(spec);
+
+        ASSERT_EQ(p.size(), s.size()) << jobs;
+        // Bytes, not fields: the lossless blob covers every field,
+        // and the report is what downstream tooling actually diffs.
+        EXPECT_EQ(blobs_of(p), blobs_of(s)) << jobs;
+        EXPECT_EQ(report_of(p), report_of(s)) << jobs;
+
+        exec::ExecStats ps = par.stats();
+        EXPECT_EQ(ps.points_run, s.size()) << jobs;
+        EXPECT_EQ(ps.points_cached, 0u) << jobs;
+        EXPECT_EQ(ps.workers,
+                  std::min<size_t>(jobs, s.size())) << jobs;
+    }
 }
 
 TEST(Engine, SerialProgressRunsOnCallerThreadInOrder)
@@ -603,6 +498,50 @@ TEST(Engine, ParallelProgressFiresOncePerPointFromWorkerThreads)
     // that jobs>1 callbacks arrive on worker threads.
     EXPECT_EQ(threads.count(caller), 0u);
     EXPECT_GE(threads.size(), 1u);
+}
+
+TEST(Engine, RethrowsLowestIndexFailureAfterJoiningEveryThread)
+{
+    std::vector<Experiment> points =
+        exec::expand_sweep(engine_spec());
+    ASSERT_EQ(points.size(), 5u);
+    ExecOptions eo;
+    eo.jobs = 4;
+    Engine engine(eo);
+
+    // Points 1 and 3 throw from their progress callback. Point 1
+    // throws last (after a sleep), so an engine that rethrew the
+    // first failure to arrive, or rethrew before joining, would
+    // surface point 3's exception.
+    std::atomic<int> inside{0};
+    auto progress = [&](const Experiment &ex) {
+        struct Inside
+        {
+            std::atomic<int> &n;
+            explicit Inside(std::atomic<int> &c) : n(c) { ++n; }
+            ~Inside() { --n; }
+        } guard(inside);
+        if (ex.label() == points[1].label()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            throw std::runtime_error("point 1");
+        }
+        if (ex.label() == points[3].label())
+            throw std::runtime_error("point 3");
+    };
+    try {
+        engine.run_all(points, progress);
+        FAIL() << "expected run_all to rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "point 1");
+    }
+    // Every callback had returned (or thrown) before run_all did.
+    EXPECT_EQ(inside.load(), 0);
+
+    // The engine holds no broken state: the next run succeeds.
+    std::vector<SimResult> again = engine.run_all(points);
+    ASSERT_EQ(again.size(), points.size());
+    Engine serial(ExecOptions{});
+    EXPECT_EQ(blobs_of(again), blobs_of(serial.run_all(points)));
 }
 
 TEST(Engine, WarmCacheServesEveryPointWithoutSimulating)

@@ -571,6 +571,47 @@ TEST(WallBudget, ThreadPoolModeCountsTimeouts)
     EXPECT_EQ(stats.points_degraded, 2u);
 }
 
+TEST(WallBudget, DegradedReportNamesEveryTimedOutPoint)
+{
+    exec::ExecOptions eo;
+    eo.jobs = 2;
+    eo.point_timeout_ms = 1;
+    exec::Engine engine(eo);
+    std::vector<Experiment> points(2);
+    for (size_t i = 0; i < points.size(); ++i) {
+        points[i].app = "modula3";
+        points[i].scale = 0.05;
+        points[i].policy = i == 0 ? "fullpage" : "pipelining";
+        points[i].subpage_size = 1024;
+        points[i].mem = MemConfig::Half;
+    }
+    std::vector<SimResult> out = engine.run_all(points);
+    ASSERT_EQ(out.size(), 2u);
+
+    // One line per point: serial index, label, app, cache key.
+    std::string report = exec::degraded_report(points, out);
+    std::istringstream lines(report);
+    std::string line;
+    for (size_t i = 0; i < points.size(); ++i) {
+        ASSERT_TRUE(std::getline(lines, line)) << report;
+        EXPECT_EQ(line.rfind("point " + std::to_string(i) + ": ", 0),
+                  0u)
+            << line;
+        EXPECT_NE(line.find(points[i].label()), std::string::npos)
+            << line;
+        EXPECT_NE(line.find("app modula3"), std::string::npos) << line;
+        EXPECT_NE(line.find(exec::cache_key_of(points[i]).hex()),
+                  std::string::npos)
+            << line;
+    }
+    EXPECT_FALSE(std::getline(lines, line)) << report;
+
+    // Completed points are not reported.
+    exec::Engine unbounded{exec::ExecOptions{}};
+    std::vector<SimResult> ok = unbounded.run_all(points);
+    EXPECT_EQ(exec::degraded_report(points, ok), "");
+}
+
 // ---------------------------------------------------------------
 // Reserve plumbing
 // ---------------------------------------------------------------

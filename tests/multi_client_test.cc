@@ -3,8 +3,8 @@
  * Tests for the multi-client event kernel (sim/multi_client.h) and
  * its trace plumbing: rotated/seekable cursors, N=1 byte-identity
  * with the single-client simulator, same-seed determinism at larger
- * client counts (including through the exec engine at any --jobs /
- * --workers), emergent contention, fault-injection interaction, and
+ * client counts (including through the exec engine at any --jobs),
+ * emergent contention, fault-injection interaction, and
  * zero steady-state allocations at N=256.
  *
  * This binary installs the allocation probe (common/alloc_probe.h).
@@ -402,7 +402,7 @@ TEST(MultiClientFaults, LossAndDuplicatesCompleteAtN16)
 }
 
 // ---------------------------------------------------------------
-// Exec engine: --clients axis, any --jobs / --workers
+// Exec engine: --clients axis, any --jobs
 // ---------------------------------------------------------------
 
 std::vector<std::string>
@@ -454,12 +454,6 @@ TEST(MultiClientEngine, JobsAndWorkersAreByteIdenticalToSerial)
     par_eo.cache_enabled = false;
     exec::Engine par(par_eo);
     EXPECT_EQ(blobs_of(par.run_sweep(spec)), blobs_of(s));
-
-    exec::ExecOptions w_eo;
-    w_eo.workers = 2;
-    w_eo.cache_enabled = false;
-    exec::Engine workers(w_eo);
-    EXPECT_EQ(blobs_of(workers.run_sweep(spec)), blobs_of(s));
 }
 
 TEST(MultiClientEngine, FingerprintSeparatesClientCounts)
