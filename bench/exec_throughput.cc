@@ -10,17 +10,20 @@
  *   warm-cache jobs=N, every point served from the result cache
  *
  * Verifies along the way that all three produce byte-identical
- * result blobs and json_report output, and that the warm pass
- * simulates zero points. Then runs the grid at every thread count
- * from 1 to N, recording a points/sec scaling curve. Emits a
- * machine-readable summary (default results/BENCH_exec.json) that
- * records the host's hardware thread count and the source commit
- * (`git describe --always --dirty` in the working directory).
+ * result blobs and json_report output, and that the warm passes
+ * simulate zero points. Then runs the grid at every thread count
+ * from 1 to N, recording a points/sec scaling curve. Every leg runs
+ * three times; the machine-readable summary (default
+ * results/BENCH_exec.json) reports each leg's median, min and max
+ * wall time, computes speedups from medians, and records the host's
+ * hardware thread count and the source commit (`git describe
+ * --always --dirty` in the working directory).
  *
  * Usage: exec_throughput [--scale=S] [--jobs=N] [--out=FILE]
  *                        [--keep-cache-dir=DIR]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -33,7 +36,6 @@
 #include "core/json_report.h"
 #include "core/sweep.h"
 #include "exec/result_codec.h"
-#include "obs/metrics.h"
 
 using namespace sgms;
 
@@ -83,6 +85,27 @@ source_commit()
     return commit.empty() ? "unknown" : commit;
 }
 
+/** Repetitions of every timed leg. */
+constexpr int kReps = 3;
+
+/** Median and range of one leg's repeated wall times. */
+struct Samples
+{
+    double median = 0;
+    double min = 0;
+    double max = 0;
+
+    static Samples
+    of(std::vector<double> secs)
+    {
+        std::sort(secs.begin(), secs.end());
+        size_t n = secs.size();
+        double mid = n % 2 ? secs[n / 2]
+                           : (secs[n / 2 - 1] + secs[n / 2]) / 2;
+        return {mid, secs.front(), secs.back()};
+    }
+};
+
 } // namespace
 
 int
@@ -124,78 +147,91 @@ main(int argc, char **argv)
                         .string();
     }
 
+    bool identical = true;
+    bool all_cached = true;
+
+    // Every leg is timed kReps times; the summary reports the median
+    // and the spread, and speedups are ratios of medians, so one slow
+    // pass (a noisy neighbour, first-touch page faults) cannot skew
+    // them.
+    auto time_leg = [&](unsigned jobs_n, exec::ExecOptions eo,
+                        std::vector<SimResult> &results) {
+        eo.jobs = jobs_n;
+        std::vector<double> secs;
+        for (int rep = 0; rep < kReps; ++rep) {
+            exec::Engine engine(eo);
+            auto t0 = std::chrono::steady_clock::now();
+            auto r = engine.run_all(points);
+            secs.push_back(seconds_since(t0));
+            if (rep == 0)
+                results = std::move(r);
+            else
+                identical = identical && blobs_of(r) == blobs_of(results);
+            exec::ExecStats st = engine.stats();
+            all_cached = all_cached &&
+                         (!eo.cache_enabled ||
+                          (st.points_cached == points.size() &&
+                           st.points_run == 0));
+        }
+        return Samples::of(secs);
+    };
+    auto print_leg = [&](const Samples &leg, const Samples *base) {
+        std::printf("%.2f s median (%.2f-%.2f over %d), %.2f points/s",
+                    leg.median, leg.min, leg.max, kReps,
+                    points.size() / leg.median);
+        if (base)
+            std::printf(" (%.2fx serial)", base->median / leg.median);
+        std::printf("\n");
+    };
+
     bench::section("serial (jobs=1, cache off)");
-    exec::ExecOptions serial_eo;
-    serial_eo.jobs = 1;
-    exec::Engine serial_engine(serial_eo);
-    auto t0 = std::chrono::steady_clock::now();
-    auto serial = serial_engine.run_all(points);
-    double serial_s = seconds_since(t0);
-    std::printf("%.2f s, %.2f points/s\n", serial_s,
-                points.size() / serial_s);
+    std::vector<SimResult> serial;
+    Samples serial_s = time_leg(1, exec::ExecOptions{}, serial);
+    print_leg(serial_s, nullptr);
 
     bench::section("parallel (cache off)");
-    exec::ExecOptions par_eo;
-    par_eo.jobs = jobs;
-    exec::Engine par_engine(par_eo);
-    t0 = std::chrono::steady_clock::now();
-    auto parallel = par_engine.run_all(points);
-    double parallel_s = seconds_since(t0);
-    std::printf("%.2f s, %.2f points/s (%.2fx serial)\n", parallel_s,
-                points.size() / parallel_s, serial_s / parallel_s);
+    std::vector<SimResult> parallel;
+    Samples parallel_s = time_leg(jobs, exec::ExecOptions{}, parallel);
+    print_leg(parallel_s, &serial_s);
 
     bench::section("warm cache");
     exec::ExecOptions cache_eo;
-    cache_eo.jobs = jobs;
     cache_eo.cache_enabled = true;
     cache_eo.cache_dir = cache_dir;
+    cache_eo.jobs = jobs;
     {
         exec::Engine cold(cache_eo); // populate
         cold.run_all(points);
     }
-    exec::Engine warm_engine(cache_eo);
-    t0 = std::chrono::steady_clock::now();
-    auto warm = warm_engine.run_all(points);
-    double warm_s = seconds_since(t0);
-    exec::ExecStats warm_stats = warm_engine.stats();
-    std::printf("%.2f s, %.2f points/s (%.2fx serial), "
-                "%llu/%zu points from cache\n",
-                warm_s, points.size() / warm_s, serial_s / warm_s,
-                static_cast<unsigned long long>(
-                    warm_stats.points_cached),
-                points.size());
+    std::vector<SimResult> warm;
+    Samples warm_s = time_leg(jobs, cache_eo, warm);
+    print_leg(warm_s, &serial_s);
 
-    bool identical = blobs_of(serial) == blobs_of(parallel) &&
-                     report_of(serial) == report_of(parallel) &&
-                     report_of(serial) == report_of(warm);
-    bool all_cached = warm_stats.points_cached == points.size() &&
-                      warm_stats.points_run == 0;
+    identical = identical && blobs_of(serial) == blobs_of(parallel) &&
+                report_of(serial) == report_of(parallel) &&
+                report_of(serial) == report_of(warm);
     std::printf("byte-identical results (parallel+warm): %s\n",
                 identical ? "yes" : "NO");
-    std::printf("warm pass simulated zero points: %s\n",
+    std::printf("warm passes simulated zero points: %s\n",
                 all_cached ? "yes" : "NO");
 
     // Scaling curve: points/sec at every thread count up to jobs.
     bench::section("scaling (points/s vs threads)");
-    std::vector<double> curve; // seconds at n = index + 1
-    Table st({"threads", "seconds", "points/s", "speedup"});
+    std::vector<Samples> curve; // at n = index + 1
+    Table st({"threads", "median s", "min s", "max s", "points/s",
+              "speedup"});
     for (unsigned n = 1; n <= jobs; ++n) {
-        exec::ExecOptions eo;
-        eo.jobs = n;
-        exec::Engine engine(eo);
-        t0 = std::chrono::steady_clock::now();
-        auto r = engine.run_all(points);
-        double secs = seconds_since(t0);
+        std::vector<SimResult> r;
+        Samples secs = time_leg(n, exec::ExecOptions{}, r);
         identical = identical && blobs_of(r) == blobs_of(serial);
         curve.push_back(secs);
-        st.add_row({Table::fmt_int(n), Table::fmt(secs, 2),
-                    Table::fmt(points.size() / secs, 2),
-                    Table::fmt(serial_s / secs, 2) + "x"});
+        st.add_row({Table::fmt_int(n), Table::fmt(secs.median, 2),
+                    Table::fmt(secs.min, 2), Table::fmt(secs.max, 2),
+                    Table::fmt(points.size() / secs.median, 2),
+                    Table::fmt(serial_s.median / secs.median, 2) +
+                        "x"});
     }
     st.print(std::cout);
-
-    bench::section("engine metrics");
-    obs::print_metrics(std::cout, par_engine.metrics_snapshot());
 
     if (scratch_cache) {
         std::error_code ec;
@@ -205,32 +241,42 @@ main(int argc, char **argv)
     std::ofstream out(out_path);
     if (out) {
         char buf[1024];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"bench\":\"exec_throughput\",\"commit\":\"%s\","
-            "\"nproc\":%u,\"points\":%zu,"
-            "\"scale\":%g,\"jobs\":%u,"
-            "\"serial_s\":%.4f,\"parallel_s\":%.4f,"
-            "\"warm_cache_s\":%.4f,"
-            "\"serial_pps\":%.3f,\"parallel_pps\":%.3f,"
-            "\"warm_cache_pps\":%.3f,"
-            "\"parallel_speedup\":%.3f,"
-            "\"warm_cache_speedup\":%.3f,"
-            "\"identical\":%s,\"warm_all_cached\":%s,"
-            "\"scaling\":[",
-            source_commit().c_str(), exec::hardware_workers(),
-            points.size(), scale, jobs, serial_s, parallel_s, warm_s,
-            points.size() / serial_s, points.size() / parallel_s,
-            points.size() / warm_s, serial_s / parallel_s,
-            serial_s / warm_s, identical ? "true" : "false",
-            all_cached ? "true" : "false");
+        auto leg_json = [&](const char *name, const Samples &leg) {
+            std::snprintf(buf, sizeof(buf),
+                          "\"%s\":{\"median_s\":%.4f,\"min_s\":%.4f,"
+                          "\"max_s\":%.4f,\"pps\":%.3f},",
+                          name, leg.median, leg.min, leg.max,
+                          points.size() / leg.median);
+            out << buf;
+        };
+        std::snprintf(buf, sizeof(buf),
+                      "{\"bench\":\"exec_throughput\",\"commit\":\"%s\","
+                      "\"nproc\":%u,\"points\":%zu,"
+                      "\"scale\":%g,\"jobs\":%u,\"reps\":%d,",
+                      source_commit().c_str(), exec::hardware_workers(),
+                      points.size(), scale, jobs, kReps);
+        out << buf;
+        leg_json("serial", serial_s);
+        leg_json("parallel", parallel_s);
+        leg_json("warm_cache", warm_s);
+        std::snprintf(buf, sizeof(buf),
+                      "\"parallel_speedup\":%.3f,"
+                      "\"warm_cache_speedup\":%.3f,"
+                      "\"identical\":%s,\"warm_all_cached\":%s,"
+                      "\"scaling\":[",
+                      serial_s.median / parallel_s.median,
+                      serial_s.median / warm_s.median,
+                      identical ? "true" : "false",
+                      all_cached ? "true" : "false");
         out << buf;
         for (size_t i = 0; i < curve.size(); ++i) {
             std::snprintf(buf, sizeof(buf),
-                          "%s{\"threads\":%zu,"
-                          "\"seconds\":%.4f,\"pps\":%.3f}",
-                          i ? "," : "", i + 1, curve[i],
-                          points.size() / curve[i]);
+                          "%s{\"threads\":%zu,\"median_s\":%.4f,"
+                          "\"min_s\":%.4f,\"max_s\":%.4f,"
+                          "\"pps\":%.3f}",
+                          i ? "," : "", i + 1, curve[i].median,
+                          curve[i].min, curve[i].max,
+                          points.size() / curve[i].median);
             out << buf;
         }
         out << "]}\n";

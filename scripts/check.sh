@@ -3,10 +3,12 @@
 #
 #   scripts/check.sh          configure + build + ctest (tier 1,
 #                             under SGMS_JOBS=2 for the parallel
-#                             engine path), two sweep byte-identity
+#                             engine path), three sweep byte-identity
 #                             smokes (export_grid --jobs=nproc vs
-#                             --jobs=1, heap and mapped trace
-#                             tiers), then a -Wall -Wextra -Werror
+#                             --jobs=1: heap trace tier, mapped
+#                             tier, and streamed fallback under
+#                             SGMS_TRACE_STORE_MAX_MB=0), then a
+#                             -Wall -Wextra -Werror
 #                             rebuild in a separate tree
 #                             (build-strict/), the same strict
 #                             build with span tracing compiled out
@@ -74,6 +76,18 @@ cmp "$tmp_grid/serial.json" "$tmp_grid/mapped.json"
 cmp "$tmp_grid/serial.csv" "$tmp_grid/mapped.csv"
 baked=$(ls "$tmp_grid/traces"/*.sgmb | wc -l)
 echo "   mapped replay matches heap byte for byte ($baked baked files)"
+
+echo "== smoke: streamed trace fallback is byte-identical =="
+# Same grid with no heap budget: the store stores nothing and every
+# point streams its trace from the generator, so 32-bit heap words,
+# 64-bit mapped records and streamed generation all give these bytes.
+SGMS_TRACE_STORE_MAX_MB=0 \
+    ./build/examples/export_grid --scale=0.05 --jobs="$(nproc)" \
+    --json="$tmp_grid/streamed.json" --csv="$tmp_grid/streamed.csv" \
+    >/dev/null
+cmp "$tmp_grid/serial.json" "$tmp_grid/streamed.json"
+cmp "$tmp_grid/serial.csv" "$tmp_grid/streamed.csv"
+echo "   streamed replay matches heap byte for byte"
 
 echo "== smoke: trace export =="
 ./build/examples/quickstart --trace-out="$tmp_trace" >/dev/null

@@ -4,11 +4,13 @@
  *
  * A MappedTraceFile is one immutable read-only mapping of a baked
  * trace, shared by shared_ptr exactly like the heap store's
- * PackedTrace buffers. Cursors (MmapReplayTrace) carry only their
- * own position, so any number of threads replay one mapping
- * concurrently with no locking and no per-reference copy or
- * allocation: next_batch unpacks records straight from the mapping
- * into the simulator's batch buffer.
+ * PackedTrace buffers. Its records stay 64-bit (real traces may use
+ * addresses too wide for the heap's 32-bit words); each unpacks to
+ * the same TraceEvent a heap word does. Cursors (MmapReplayTrace)
+ * carry only their own position, so any number of threads replay
+ * one mapping concurrently with no locking and no per-reference copy
+ * or allocation: next_batch unpacks records straight from the
+ * mapping into the simulator's batch buffer.
  *
  * Because the mapping is backed by the file, replay throughput of a
  * cold trace is bounded by the page cache, not by a load pass:

@@ -1,5 +1,6 @@
 #include "trace/trace_store.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -103,24 +104,15 @@ store_budget_bytes(Store &s)
     return s.budget_override ? *s.budget_override : env_budget_bytes();
 }
 
-std::shared_ptr<const PackedTrace>
-materialize(const std::string &app, double scale, uint64_t seed)
+/**
+ * One past the highest address @p spec can generate: every pattern
+ * address lies below page_span() pages, and the hot region (at least
+ * one page) starts at page 0.
+ */
+uint64_t
+spec_addr_limit(const WorkloadSpec &spec)
 {
-    auto gen = make_app_trace(app, scale, seed);
-    auto packed = std::make_shared<PackedTrace>();
-    packed->reserve(gen->size_hint());
-    TraceEvent batch[512];
-    size_t n;
-    while ((n = gen->next_batch(batch, 512)) > 0) {
-        for (size_t i = 0; i < n; ++i) {
-            // The top address bit carries the write flag; synthetic
-            // (and any sane) traces never use it.
-            SGMS_ASSERT(batch[i].addr < (1ULL << 63));
-            packed->push_back((batch[i].addr << 1) |
-                              (batch[i].write ? 1 : 0));
-        }
-    }
-    return packed;
+    return std::max<uint64_t>(spec.page_span(), 1) * spec.page_size;
 }
 
 /**
@@ -191,6 +183,25 @@ map_baked(Store &s, const std::string &app, double scale, uint64_t seed,
 }
 
 } // namespace
+
+std::shared_ptr<const PackedTrace>
+pack_trace(TraceSource &src)
+{
+    src.reset();
+    auto packed = std::make_shared<PackedTrace>();
+    packed->reserve(src.size_hint());
+    TraceEvent batch[512];
+    size_t n;
+    while ((n = src.next_batch(batch, 512)) > 0) {
+        for (size_t i = 0; i < n; ++i) {
+            if (batch[i].addr >= kPackedAddrLimit)
+                return nullptr;
+            packed->push_back(static_cast<PackedTrace::value_type>(
+                (batch[i].addr << 1) | (batch[i].write ? 1 : 0)));
+        }
+    }
+    return packed;
+}
 
 std::string
 baked_trace_path(const std::string &dir, const std::string &app,
@@ -265,13 +276,15 @@ make_stored_app_trace(const std::string &app, double scale,
         }
     }
 
-    // Heap tier. Size is known exactly up front (synthetic traces
-    // declare their reference count), so the budget check precedes
-    // the expensive generation pass. Only resident heap
-    // materializations count against the budget.
-    uint64_t need =
-        make_app_spec(app, scale).total_refs() * sizeof(uint64_t);
-    if (s.bytes + need > store_budget_bytes(s)) {
+    // Heap tier. Size and address range are known exactly up front
+    // (synthetic traces declare their reference count and layout), so
+    // the budget and word-width checks precede the expensive
+    // generation pass. Only resident heap materializations count
+    // against the budget.
+    WorkloadSpec spec = make_app_spec(app, scale);
+    uint64_t need = spec.total_refs() * sizeof(PackedTrace::value_type);
+    if (spec_addr_limit(spec) > kPackedAddrLimit ||
+        s.bytes + need > store_budget_bytes(s)) {
         ++s.fallbacks;
         lock.unlock();
         return make_app_trace(app, scale, seed);
@@ -280,8 +293,15 @@ make_stored_app_trace(const std::string &app, double scale,
     // Materialize under the lock: concurrent requesters of the same
     // trace wait for one generation pass instead of racing through
     // their own (same discipline as the footprint memo).
-    auto packed = materialize(app, scale, seed);
-    s.bytes += packed->size() * sizeof(uint64_t);
+    auto gen = std::make_unique<SyntheticTrace>(std::move(spec), seed);
+    auto packed = pack_trace(*gen);
+    if (!packed) {
+        ++s.fallbacks;
+        lock.unlock();
+        gen->reset();
+        return gen;
+    }
+    s.bytes += packed->size() * sizeof(PackedTrace::value_type);
     ++s.misses;
     s.traces[key] = packed;
     return std::make_unique<ReplayTrace>(std::move(packed));

@@ -21,10 +21,11 @@
  *    reported separately as TraceStoreStats::mapped_bytes.
  *
  *  - **heap tier** (default): the trace is materialized once per
- *    process into an immutable shared buffer, bounded by a
- *    cumulative byte budget (SGMS_TRACE_STORE_MAX_MB, default 256);
- *    traces that would exceed it fall back to streaming generation
- *    per point.
+ *    process into an immutable shared buffer of 32-bit words (4 bytes
+ *    per reference), bounded by a cumulative byte budget
+ *    (SGMS_TRACE_STORE_MAX_MB, default 256); traces that would
+ *    exceed it, or that reach an address of 2^31 or more, fall back
+ *    to streaming generation per point.
  *
  * SGMS_TRACE_STORE=0 disables the store entirely (every caller gets
  * a streaming generator, the pre-store behavior).
@@ -32,9 +33,11 @@
  * Lifetime rules (DESIGN.md §13-14): buffers and mappings are
  * immutable after creation; cursors carry only their own position,
  * so concurrent replay from many threads needs no locking. Both
- * tiers replay the identical packed words ((addr << 1) | write,
- * trace/binfmt.h), so heap, mapped, and streamed replay are
- * byte-equivalent through full Experiment::run results (tested).
+ * tiers store (addr << 1) | write per reference, in 32-bit heap words
+ * here and 64-bit SGMB records in the mapped tier (trace/binfmt.h);
+ * each unpacks to the same TraceEvent, so heap, mapped, and streamed
+ * replay are byte-equivalent through full Experiment::run results
+ * (tested).
  */
 
 #ifndef SGMS_TRACE_TRACE_STORE_H
@@ -50,8 +53,30 @@
 namespace sgms
 {
 
-/** Immutable packed trace: each event is (addr << 1) | write. */
-using PackedTrace = std::vector<uint64_t>;
+/**
+ * Immutable packed trace: each event is one 32-bit word
+ * (addr << 1) | write, so only addresses below kPackedAddrLimit are
+ * storable. Synthetic addresses span about 23 bits at scale 0.1 and
+ * 26 at scale 1.0.
+ */
+using PackedTrace = std::vector<uint32_t>;
+
+/** One past the largest address a PackedTrace word can hold (2^31). */
+inline constexpr uint64_t kPackedAddrLimit = uint64_t{1} << 31;
+
+/** The event one PackedTrace word holds. */
+inline TraceEvent
+unpack_event(PackedTrace::value_type word)
+{
+    return {word >> 1, (word & 1) != 0};
+}
+
+/**
+ * Pack all of @p src (from its start) into a new buffer. Returns
+ * nullptr as soon as an address reaches kPackedAddrLimit: such a
+ * trace is not stored.
+ */
+std::shared_ptr<const PackedTrace> pack_trace(TraceSource &src);
 
 /** Cursor over a shared packed trace; cheap to create per point. */
 class ReplayTrace : public TraceSource
@@ -66,9 +91,7 @@ class ReplayTrace : public TraceSource
     {
         if (pos_ >= events_->size())
             return false;
-        uint64_t packed = (*events_)[pos_++];
-        ev.addr = packed >> 1;
-        ev.write = packed & 1;
+        ev = unpack_event((*events_)[pos_++]);
         return true;
     }
 
@@ -78,11 +101,8 @@ class ReplayTrace : public TraceSource
         const PackedTrace &ev = *events_;
         size_t avail = ev.size() - pos_;
         size_t got = n < avail ? n : avail;
-        for (size_t i = 0; i < got; ++i) {
-            uint64_t packed = ev[pos_ + i];
-            out[i].addr = packed >> 1;
-            out[i].write = packed & 1;
-        }
+        for (size_t i = 0; i < got; ++i)
+            out[i] = unpack_event(ev[pos_ + i]);
         pos_ += got;
         return got;
     }
@@ -113,7 +133,8 @@ class ReplayTrace : public TraceSource
  * An app trace ready to replay: an mmap cursor over the baked file
  * when the mapped tier is configured, a ReplayTrace cursor over the
  * shared heap store when the trace is (or can be) materialized
- * within budget, a streaming SyntheticTrace otherwise. Thread-safe;
+ * within budget and its addresses fit a PackedTrace word, a
+ * streaming SyntheticTrace otherwise. Thread-safe;
  * concurrent callers of the same key block on one materialization.
  */
 std::unique_ptr<TraceSource>
@@ -149,7 +170,10 @@ struct TraceStoreStats
     uint64_t hits = 0;
     /** Requests that materialized or mapped a new trace. */
     uint64_t misses = 0;
-    /** Requests that fell back to streaming generation. */
+    /**
+     * Requests that fell back to streaming generation: over the
+     * budget, or an address too wide for a PackedTrace word.
+     */
     uint64_t fallbacks = 0;
     /** Bytes held by heap-materialized buffers (budgeted). */
     uint64_t bytes = 0;

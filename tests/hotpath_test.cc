@@ -443,6 +443,54 @@ TEST(TraceStore, ConcurrentReplayIsSafeAndComplete)
     EXPECT_GT(counts[0], 0u);
 }
 
+TEST(TraceStore, HeapBufferHoldsFourBytesPerReference)
+{
+    trace_store_clear();
+    auto stored = make_stored_app_trace("ld", 0.01, /*seed=*/1);
+    ASSERT_NE(dynamic_cast<ReplayTrace *>(stored.get()), nullptr);
+    EXPECT_EQ(trace_store_stats().bytes, stored->size_hint() * 4);
+}
+
+TEST(TraceStore, PackedWordsHoldThirtyOneBitAddresses)
+{
+    // The widest storable address round-trips with its write bit...
+    VectorTrace widest;
+    widest.push(kPackedAddrLimit - 1, /*write=*/true);
+    widest.push(0, /*write=*/false);
+    auto packed = pack_trace(widest);
+    ASSERT_NE(packed, nullptr);
+    ReplayTrace replay(packed);
+    TraceEvent ev;
+    ASSERT_TRUE(replay.next(ev));
+    EXPECT_EQ(ev.addr, kPackedAddrLimit - 1);
+    EXPECT_TRUE(ev.write);
+    ASSERT_TRUE(replay.next(ev));
+    EXPECT_EQ(ev.addr, 0u);
+    EXPECT_FALSE(ev.write);
+    EXPECT_FALSE(replay.next(ev));
+
+    // ...and one more bit is refused: the trace is not stored.
+    VectorTrace wide;
+    wide.push(0, /*write=*/true);
+    wide.push(kPackedAddrLimit, /*write=*/false);
+    EXPECT_EQ(pack_trace(wide), nullptr);
+}
+
+TEST(TraceStore, FigureGridAtTenthScaleFitsDefaultBudget)
+{
+    // The figure grid replays every app at scale 0.1 in one process;
+    // all five traces must fit the default 256 MiB heap budget or the
+    // ones that do not regenerate per point.
+    uint64_t bytes = 0;
+    for (const auto &app : app_names()) {
+        WorkloadSpec spec = make_app_spec(app, 0.1);
+        bytes += spec.total_refs() * sizeof(PackedTrace::value_type);
+        EXPECT_LE(spec.page_span() * spec.page_size, kPackedAddrLimit)
+            << app;
+    }
+    EXPECT_LE(bytes, uint64_t{256} << 20);
+}
+
 TEST(TraceStore, ExperimentViaStoreMatchesStreamedSimulation)
 {
     // End to end: Experiment::run (stored trace) must be
