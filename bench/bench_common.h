@@ -182,6 +182,35 @@ run_labeled(const Experiment &ex, const obs::ObsSession &obs)
     return r;
 }
 
+/** The source commit, or "unknown" outside a git checkout. */
+inline std::string
+source_commit()
+{
+    std::string commit;
+    if (FILE *p = ::popen("git describe --always --dirty 2>/dev/null",
+                          "r")) {
+        char buf[128];
+        if (std::fgets(buf, sizeof(buf), p))
+            commit = buf;
+        ::pclose(p);
+    }
+    while (!commit.empty() &&
+           (commit.back() == '\n' || commit.back() == '\r'))
+        commit.pop_back();
+    return commit.empty() ? "unknown" : commit;
+}
+
+/** The compiler that built this binary, e.g. "g++ 12.2.0". */
+inline const char *
+compiler()
+{
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#else
+    return "g++ " __VERSION__;
+#endif
+}
+
 /** The subpage sizes the paper sweeps. */
 inline const std::vector<uint32_t> &
 paper_subpage_sizes()

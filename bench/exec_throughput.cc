@@ -67,24 +67,6 @@ report_of(const std::vector<SimResult> &results)
     return os.str();
 }
 
-/** The source commit, or "unknown" outside a git checkout. */
-std::string
-source_commit()
-{
-    std::string commit;
-    if (FILE *p = ::popen("git describe --always --dirty 2>/dev/null",
-                          "r")) {
-        char buf[128];
-        if (std::fgets(buf, sizeof(buf), p))
-            commit = buf;
-        ::pclose(p);
-    }
-    while (!commit.empty() &&
-           (commit.back() == '\n' || commit.back() == '\r'))
-        commit.pop_back();
-    return commit.empty() ? "unknown" : commit;
-}
-
 /** Repetitions of every timed leg. */
 constexpr int kReps = 3;
 
@@ -253,8 +235,9 @@ main(int argc, char **argv)
                       "{\"bench\":\"exec_throughput\",\"commit\":\"%s\","
                       "\"nproc\":%u,\"points\":%zu,"
                       "\"scale\":%g,\"jobs\":%u,\"reps\":%d,",
-                      source_commit().c_str(), exec::hardware_workers(),
-                      points.size(), scale, jobs, kReps);
+                      bench::source_commit().c_str(),
+                      exec::hardware_workers(), points.size(), scale,
+                      jobs, kReps);
         out << buf;
         leg_json("serial", serial_s);
         leg_json("parallel", parallel_s);

@@ -102,14 +102,10 @@ struct Simulator::Client
     size_t batch_i = 0;
     size_t batch_n = 0;
 
-    // The last page touched, and whether it is complete with no
-    // watch armed (then a reference to it changes only the dirty
-    // bit). last_frame is valid while last_fast: no page can be
-    // installed (and thus no frame storage can move) without a
-    // fault, which goes through the slow path and refreshes this.
+    // The page of the last executed reference: a run of references
+    // to one page refreshes its recency at most once (the touch rule
+    // in step()).
     PageId last_page = NO_PAGE;
-    bool last_fast = false;
-    PageTable::Frame *last_frame = nullptr;
 
     // Parked continuation.
     Phase phase = Phase::RefSteal;
@@ -462,10 +458,11 @@ Simulator::advance_after_ref(Run &r, Client &c, bool in_step)
  * Nothing in here runs an event, and every path that schedules one (a
  * fault) parks the client, so the next event time and the receive-CPU
  * steal are fixed for the whole burst. The cursor (clock, reference
- * count, batch index) and the fast-path page live in locals, written
- * back before a fault or a batch refill reads them and when the
- * client leaves: a reference to the last complete page costs a
- * compare, the dirty bit, and the clock.
+ * count, batch index) lives in locals, written back before a fault or
+ * a batch refill reads them and when the client leaves. Every
+ * reference does one page-table lookup; a reference to a complete,
+ * unwatched page then costs one predictable branch, the touch rule,
+ * the dirty bit and the clock.
  */
 void
 Simulator::step(Run &r, Client &c)
@@ -483,7 +480,6 @@ Simulator::step(Run &r, Client &c)
     Tick now = c.now;
     uint64_t ref = c.ref_index;
     size_t i = c.batch_i;
-    PageId fast_page = c.last_fast ? c.last_page : NO_PAGE;
     auto write_back = [&] {
         c.now = now;
         c.ref_index = ref;
@@ -515,27 +511,32 @@ Simulator::step(Run &r, Client &c)
         }
         at = Phase::RefSteal;
         PageId page = r.geo.page_of(ev.addr);
-        if (page == fast_page) {
-            if (ev.write)
-                c.last_frame->dirty = true;
+        PageTable::Frame *frame = c.pt.find(page);
+        // Refresh the replacement policy's recency, but only every
+        // TOUCH_GRANULARITY references per page and never within a
+        // run of references to one page: exact per-reference LRU
+        // ordering costs a list splice per reference and is
+        // indistinguishable at page-fault reuse distances.
+        auto touch = [&] {
+            if (page != c.last_page &&
+                ref - frame->last_touch >= TOUCH_GRANULARITY) {
+                c.pt.touch(page);
+                frame->last_touch = ref;
+            }
+        };
+        if (frame && frame->complete && frame->watch_from < 0) {
+            // Every subpage is valid and no Figure 7 watch is armed:
+            // the reference changes only recency and the dirty bit.
+            touch();
+            frame->dirty |= ev.write;
         } else {
-            PageTable::Frame *frame = c.pt.find(page);
             if (!frame) {
                 write_back();
                 if (!yield_for_slow_path(r, c))
                     page_fault(r, c, page); // parks
                 return;
             }
-            // Refresh the replacement policy's recency, but only
-            // every TOUCH_GRANULARITY references per page: exact
-            // per-reference LRU ordering costs a list splice per
-            // reference and is indistinguishable at page-fault reuse
-            // distances.
-            if (page != c.last_page &&
-                ref - frame->last_touch >= TOUCH_GRANULARITY) {
-                c.pt.touch(page);
-                frame->last_touch = ref;
-            }
+            touch();
             SubpageIndex sp = r.geo.subpage_of(ev.addr);
             if (!frame->valid.test(sp)) {
                 write_back();
@@ -560,11 +561,8 @@ Simulator::step(Run &r, Client &c)
                 resolve_watch(r, c, *frame, sp);
             if (ev.write)
                 frame->dirty = true;
-            c.last_page = page;
-            c.last_fast = frame->complete && frame->watch_from < 0;
-            c.last_frame = frame;
-            fast_page = c.last_fast ? page : NO_PAGE;
         }
+        c.last_page = page;
         now += r.step_len;
         ++ref;
         if (++i == c.batch_n) {
@@ -672,16 +670,13 @@ Simulator::resolve_epilogue(Run &r, Client &c, PageTable::Frame &f)
         f.dirty = true;
 }
 
-/** Shared tail of every slow path: refresh last_*, charge the ref. */
+/** Shared tail of every slow path: record last_page, charge the ref. */
 bool
 Simulator::complete_ref_after_slow(Run &r, Client &c, bool in_step)
 {
     PageId page = r.geo.page_of(r.cur(c).addr);
-    PageTable::Frame *f = c.pt.find(page);
-    SGMS_ASSERT(f);
+    SGMS_ASSERT(c.pt.find(page));
     c.last_page = page;
-    c.last_fast = f->complete && f->watch_from < 0;
-    c.last_frame = f;
     return advance_after_ref(r, c, in_step);
 }
 

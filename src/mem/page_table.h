@@ -40,7 +40,11 @@ class PageTable
         SubpageBitmap valid;
         /** Subpages with a transfer in flight (bitmask). */
         uint64_t inflight = 0;
-        /** All subpages valid: fast-path flag. */
+        /**
+         * All subpages valid. With no watch armed, the kernel's
+         * per-reference loop tests this after its one lookup: a
+         * complete page needs only recency and the dirty bit.
+         */
         bool complete = false;
         /** The page has been written since installation. */
         bool dirty = false;

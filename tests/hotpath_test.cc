@@ -8,8 +8,8 @@
  * replay concurrently), and the cooperative per-point wall budget.
  *
  * This binary installs the allocation probe, so it can also assert
- * that steady-state event scheduling and replacement churn perform
- * zero heap allocations.
+ * that steady-state event scheduling, replacement churn and the
+ * kernel's per-reference loop perform zero heap allocations.
  */
 
 #include <gtest/gtest.h>
@@ -658,6 +658,45 @@ TEST(WallBudget, DegradedReportNamesEveryTimedOutPoint)
     exec::Engine unbounded{exec::ExecOptions{}};
     std::vector<SimResult> ok = unbounded.run_all(points);
     EXPECT_EQ(exec::degraded_report(points, ok), "");
+}
+
+// ---------------------------------------------------------------
+// Kernel reference loop
+// ---------------------------------------------------------------
+
+TEST(KernelLoop, ResidentReferencesDoNotAllocate)
+{
+    // Fault in 256 pages, then cycle over them: every later reference
+    // hits a complete page that differs from the last one, so the
+    // loop takes the lookup, the replacement touch (once the page's
+    // last touch is 64 references old) and the dirty bit, and
+    // refills its batch from the trace.
+    constexpr PageId pages = 256;
+    constexpr uint64_t laps = 800;
+    VectorTrace t;
+    for (uint64_t lap = 0; lap <= laps; ++lap) {
+        for (PageId p = 0; p < pages; ++p)
+            t.push(p * 8192 + (lap % 8) * 1024, lap % 2 == 1);
+    }
+    SimConfig cfg;
+    cfg.policy = "fullpage";
+    cfg.subpage_size = cfg.page_size;
+    Simulator sim(cfg);
+    sim.begin({&t});
+    // Warm up: run until every page has faulted in.
+    while (sim.refs_executed() < pages)
+        ASSERT_TRUE(sim.drive(1));
+    // Each fault wakes its client from an event, so the warm-up stops
+    // exactly at the first resident reference.
+    ASSERT_EQ(sim.refs_executed(), pages);
+    uint64_t before = alloc_probe_count();
+    while (sim.drive(UINT64_MAX)) {
+    }
+    EXPECT_EQ(alloc_probe_count(), before);
+    EXPECT_EQ(sim.refs_executed(), pages * (laps + 1));
+    SimResult r = sim.finish();
+    EXPECT_EQ(r.page_faults, pages);
+    EXPECT_EQ(r.evictions, 0u);
 }
 
 // ---------------------------------------------------------------
