@@ -7,7 +7,12 @@
 #                             smokes (export_grid --jobs=nproc vs
 #                             --jobs=1: heap trace tier, mapped
 #                             tier, and streamed fallback under
-#                             SGMS_TRACE_STORE_MAX_MB=0), then a
+#                             SGMS_TRACE_STORE_MAX_MB=0), a warm
+#                             result-cache smoke (a --clients=1,16
+#                             grid run twice on one --cache-dir: the
+#                             second run simulates nothing and
+#                             matches an uncached --jobs=1 run byte
+#                             for byte), then a
 #                             -Wall -Wextra -Werror
 #                             rebuild in a separate tree
 #                             (build-strict/), the same strict
@@ -89,6 +94,30 @@ SGMS_TRACE_STORE_MAX_MB=0 \
 cmp "$tmp_grid/serial.json" "$tmp_grid/streamed.json"
 cmp "$tmp_grid/serial.csv" "$tmp_grid/streamed.csv"
 echo "   streamed replay matches heap byte for byte"
+
+echo "== smoke: warm result cache is byte-identical =="
+# A 1- and 16-client grid run twice on one cache directory: the
+# second run must serve every point from its SGMR blob and write the
+# same bytes as an uncached serial run.
+./build/examples/export_grid --scale=0.05 --clients=1,16 --jobs=1 \
+    --no-cache \
+    --json="$tmp_grid/uncached.json" --csv="$tmp_grid/uncached.csv" \
+    >/dev/null
+for pass in cold warm; do
+    ./build/examples/export_grid --scale=0.05 --clients=1,16 \
+        --jobs="$(nproc)" --cache-dir="$tmp_grid/cache" \
+        --json="$tmp_grid/$pass.json" --csv="$tmp_grid/$pass.csv" \
+        >"$tmp_grid/$pass.log"
+done
+if ! grep -q "^engine: 0 simulated" "$tmp_grid/warm.log"; then
+    echo "warm-cache run simulated points:" >&2
+    grep "^engine:" "$tmp_grid/warm.log" >&2
+    exit 1
+fi
+cmp "$tmp_grid/uncached.json" "$tmp_grid/warm.json"
+cmp "$tmp_grid/uncached.csv" "$tmp_grid/warm.csv"
+echo "   $(grep "^engine:" "$tmp_grid/warm.log"); output matches" \
+    "the uncached jobs=1 run byte for byte"
 
 echo "== smoke: trace export =="
 ./build/examples/quickstart --trace-out="$tmp_trace" >/dev/null

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include <fcntl.h>
@@ -72,18 +71,7 @@ class Fingerprint
     std::string text_;
 };
 
-uint64_t
-fnv1a(const std::string &s, uint64_t basis)
-{
-    constexpr uint64_t kPrime = 1099511628211ull;
-    uint64_t h = basis;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= kPrime;
-    }
-    return h;
-}
-
+constexpr const char *kBlobExt = ".sgmr";
 constexpr const char *kManifestName = "manifest.tsv";
 constexpr const char *kManifestLock = "manifest.lock";
 
@@ -108,6 +96,35 @@ now_ms()
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::system_clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * Read all of @p path into @p out with one read sized by fstat (looping
+ * only on short reads). False when the file cannot be opened; a read
+ * error keeps the bytes read so far, which then fail to decode.
+ */
+bool
+read_file(const std::string &path, std::string &out)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st;
+    size_t got = 0;
+    if (::fstat(fd, &st) == 0) {
+        out.resize(static_cast<size_t>(st.st_size));
+        while (got < out.size()) {
+            ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            got += static_cast<size_t>(n);
+        }
+    }
+    ::close(fd);
+    out.resize(got);
+    return true;
 }
 
 /** Holds an exclusive flock on the manifest lock file while alive. */
@@ -284,8 +301,9 @@ cache_key_of(const Experiment &ex)
 {
     std::string fp = experiment_fingerprint(ex);
     CacheKey key;
-    key.hi = fnv1a(fp, 14695981039346656037ull); // standard offset
-    key.lo = fnv1a(fp, 0x9ae16a3b2f90404full);   // independent basis
+    key.hi = fnv1a_bytes(fp.data(), fp.size()); // standard offset
+    key.lo = fnv1a_bytes(fp.data(), fp.size(),
+                         0x9ae16a3b2f90404full); // independent basis
     return key;
 }
 
@@ -299,21 +317,19 @@ ResultCache::ResultCache(std::string dir, uint64_t max_bytes)
 std::string
 ResultCache::blob_path(const CacheKey &key) const
 {
-    return dir_ + "/" + key.hex() + ".json";
+    return dir_ + "/" + key.hex() + kBlobExt;
 }
 
 std::optional<SimResult>
 ResultCache::load(const CacheKey &key)
 {
-    std::ifstream in(blob_path(key), std::ios::binary);
-    if (!in) {
+    std::string blob;
+    if (!read_file(blob_path(key), blob)) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
     SimResult r;
-    if (!read_result_blob(text.str(), r)) {
+    if (!read_result_blob(blob, r)) {
         decode_failures_.fetch_add(1, std::memory_order_relaxed);
         misses_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
@@ -445,7 +461,7 @@ ResultCache::gc()
             }
             continue;
         }
-        if (name.size() != 37 || name.substr(32) != ".json" ||
+        if (name.size() != 37 || name.substr(32) != kBlobExt ||
             !is_hex_key(name.substr(0, 32))) {
             continue; // manifest, lock file, strangers
         }
@@ -479,7 +495,7 @@ ResultCache::gc()
             const Blob &b = blobs[first_kept];
             // unlink(2): a reader holding the blob open keeps its
             // data; only the name goes away.
-            if (fs::remove(dir_ + "/" + b.hex + ".json", ec)) {
+            if (fs::remove(dir_ + "/" + b.hex + kBlobExt, ec)) {
                 total -= b.size;
                 ++evicted;
             }

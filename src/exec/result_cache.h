@@ -11,11 +11,13 @@
  * produces a different key, so stale blobs are simply never looked
  * up; there is no invalidation protocol.
  *
- * Blobs live as one JSON file per key under the cache directory
- * (default `.sgms-cache/`). Writes go to a unique temp file in the
- * same directory followed by an atomic rename, so a concurrent or
- * killed run can never leave a half-written blob under a live key;
- * a corrupted or truncated blob fails to decode and reads as a miss.
+ * Blobs live as one SGMR file (exec/result_codec.h), `<hex>.sgmr`,
+ * per key under the cache directory (default `.sgms-cache/`); a hit
+ * is one sized read and a binary decode. Writes go to a unique temp
+ * file in the same directory followed by an atomic rename, so a
+ * concurrent or killed run can never leave a half-written blob under
+ * a live key; a corrupted or truncated blob fails its length or
+ * checksum check and reads as a miss.
  *
  * Size-bounded eviction: with a nonzero byte bound the cache keeps a
  * small append-only manifest (`manifest.tsv`: one "hex last-use-ms"

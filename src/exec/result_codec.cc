@@ -1,10 +1,10 @@
 #include "exec/result_codec.h"
 
-#include <cstdio>
-#include <sstream>
+#include <cstring>
+#include <type_traits>
+#include <vector>
 
-#include "common/json.h"
-#include "core/json_report.h"
+#include "trace/binfmt.h"
 
 namespace sgms::exec
 {
@@ -12,313 +12,331 @@ namespace sgms::exec
 namespace
 {
 
-/** Shortest exact double: %.17g round-trips IEEE-754 binary64. */
-std::string
-fmt_double(double v)
+constexpr char kMagic[4] = {'S', 'G', 'M', 'R'};
+constexpr uint32_t kEndianTag = 0x01020304;
+
+// Header field offsets (see result_codec.h layout table).
+constexpr size_t kOffSchema = 4;
+constexpr size_t kOffEndian = 8;
+constexpr size_t kOffLength = 12;
+constexpr size_t kOffHash = 20;
+constexpr size_t kHeaderBytes = 28;
+
+// Smallest encoding of one element of each counted section, used to
+// bound a count by the bytes that remain before allocating for it.
+constexpr size_t kFaultBytes = 5 * sizeof(uint64_t) + 1;
+constexpr size_t kPointBytes = 2 * sizeof(double);
+constexpr size_t kBinBytes = sizeof(int64_t) + sizeof(uint64_t);
+constexpr size_t kMetricMinBytes =
+    sizeof(uint64_t) + 1 + 5 * sizeof(uint64_t);
+
+static_assert(sizeof(size_t) == sizeof(uint64_t),
+              "mem_pages is stored as 8 bytes");
+
+using Bins = std::vector<std::pair<int64_t, uint64_t>>;
+
+/** Appends fields to a blob; the writing half of codec() below. */
+class Writer
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+  public:
+    explicit Writer(std::string &out) : out_(out) {}
+
+    template <typename T>
+    void
+    field(const T &v)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        char b[sizeof(T)];
+        std::memcpy(b, &v, sizeof(T));
+        out_.append(b, sizeof(T));
+    }
+
+    void flag(bool v) { field<uint8_t>(v ? 1 : 0); }
+
+    void
+    kind(obs::MetricKind k)
+    {
+        field(static_cast<uint8_t>(k));
+    }
+
+    void
+    string(const std::string &s)
+    {
+        field<uint64_t>(s.size());
+        out_.append(s);
+    }
+
+    template <typename T>
+    void
+    count(const std::vector<T> &v, size_t)
+    {
+        field<uint64_t>(v.size());
+    }
+
+  private:
+    std::string &out_;
+};
+
+/**
+ * Decodes fields from a blob; the reading half of codec() below. The
+ * first short read or malformed field fails the reader for good: it
+ * then consumes nothing and reads zeros and empty sections, so a
+ * damaged blob can neither overrun its bytes nor allocate for a count
+ * its bytes cannot hold.
+ */
+class Reader
+{
+  public:
+    Reader(const char *p, size_t n) : p_(p), left_(n) {}
+
+    template <typename T>
+    void
+    field(T &v)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        v = T();
+        if (left_ < sizeof(T))
+            return fail();
+        std::memcpy(&v, p_, sizeof(T));
+        p_ += sizeof(T);
+        left_ -= sizeof(T);
+    }
+
+    void
+    flag(bool &v)
+    {
+        uint8_t b;
+        field(b);
+        if (b > 1)
+            fail();
+        v = b == 1;
+    }
+
+    void
+    kind(obs::MetricKind &k)
+    {
+        uint8_t b;
+        field(b);
+        if (b > static_cast<uint8_t>(obs::MetricKind::Distribution))
+            fail();
+        k = static_cast<obs::MetricKind>(b);
+    }
+
+    void
+    string(std::string &s)
+    {
+        uint64_t n;
+        field(n);
+        if (n > left_)
+            return fail();
+        s.assign(p_, n);
+        p_ += n;
+        left_ -= n;
+    }
+
+    /** Read a count of elements each at least @p min_bytes long. */
+    template <typename T>
+    void
+    count(std::vector<T> &v, size_t min_bytes)
+    {
+        uint64_t n;
+        field(n);
+        if (n > left_ / min_bytes)
+            return fail();
+        v.resize(n);
+    }
+
+    /** True when every field decoded and no byte is left over. */
+    bool ok() const { return ok_ && left_ == 0; }
+
+  private:
+    void
+    fail()
+    {
+        ok_ = false;
+        left_ = 0;
+    }
+
+    const char *p_;
+    size_t left_;
+    bool ok_ = true;
+};
+
+/**
+ * The payload layout, written once for both directions: with a
+ * Writer @p r is const and every field is appended; with a Reader
+ * every field is decoded into @p r. The histogram, which has no
+ * vector to fill in place, goes through @p bins.
+ */
+template <typename IO, typename R>
+void
+codec(IO &io, R &r, Bins &bins)
+{
+    io.field(r.page_size);
+    io.field(r.subpage_size);
+    io.field(r.mem_pages);
+
+    io.field(r.refs);
+    io.field(r.page_faults);
+    io.field(r.lazy_subpage_faults);
+    io.field(r.evictions);
+    io.field(r.putpages);
+    io.field(r.emulated_accesses);
+
+    io.field(r.runtime);
+    io.field(r.exec_time);
+    io.field(r.sp_latency);
+    io.field(r.page_wait);
+    io.field(r.recv_overhead);
+    io.field(r.emulation_overhead);
+    io.field(r.tlb_overhead);
+    io.field(r.io_overlap);
+    io.field(r.comp_overlap);
+
+    io.field(r.net_stats.messages);
+    io.field(r.net_stats.bytes);
+    for (size_t k = 0; k < kMsgKindCount; ++k)
+        io.field(r.net_stats.messages_by_kind[k]);
+    for (size_t k = 0; k < kMsgKindCount; ++k)
+        io.field(r.net_stats.bytes_by_kind[k]);
+    io.field(r.net_stats.dropped);
+    io.field(r.net_stats.corrupted);
+    io.field(r.net_stats.duplicated);
+
+    io.field(r.tlb_stats.hits);
+    io.field(r.tlb_stats.misses);
+    io.field(r.global_discards);
+
+    io.field(r.retries);
+    io.field(r.timeouts);
+    io.field(r.degraded_fetches);
+    io.field(r.duplicate_deliveries);
+    io.field(r.server_failures);
+
+    io.field(r.requester_wire_busy);
+    io.field(r.requester_dma_busy);
+    io.field(r.requester_cpu_busy);
+
+    io.string(r.app);
+    io.string(r.policy);
+
+    io.count(r.faults, kFaultBytes);
+    for (auto &f : r.faults)
+        io.field(f.page);
+    for (auto &f : r.faults)
+        io.field(f.ref_index);
+    for (auto &f : r.faults)
+        io.field(f.at);
+    for (auto &f : r.faults)
+        io.field(f.sp_wait);
+    for (auto &f : r.faults)
+        io.field(f.page_wait);
+    for (auto &f : r.faults)
+        io.flag(f.from_disk);
+
+    io.string(r.clustering.name);
+    io.count(r.clustering.points, kPointBytes);
+    for (auto &p : r.clustering.points)
+        io.field(p.first);
+    for (auto &p : r.clustering.points)
+        io.field(p.second);
+
+    io.count(bins, kBinBytes);
+    for (auto &b : bins)
+        io.field(b.first);
+    for (auto &b : bins)
+        io.field(b.second);
+
+    io.count(r.metrics, kMetricMinBytes);
+    for (auto &m : r.metrics) {
+        io.string(m.name);
+        io.kind(m.kind);
+        io.field(m.value);
+        io.field(m.count);
+        io.field(m.mean);
+        io.field(m.min);
+        io.field(m.max);
+    }
 }
 
+template <typename T>
 void
-num(std::ostream &os, const char *name, uint64_t v, bool comma = true)
+put_at(std::string &blob, size_t off, T v)
 {
-    os << '"' << name << "\":" << v;
-    if (comma)
-        os << ',';
+    std::memcpy(blob.data() + off, &v, sizeof(T));
 }
 
-void
-tick(std::ostream &os, const char *name, Tick v, bool comma = true)
+template <typename T>
+T
+get_at(const std::string &blob, size_t off)
 {
-    os << '"' << name << "\":" << v;
-    if (comma)
-        os << ',';
-}
-
-void
-dbl(std::ostream &os, const char *name, double v, bool comma = true)
-{
-    os << '"' << name << "\":" << fmt_double(v);
-    if (comma)
-        os << ',';
-}
-
-void
-str(std::ostream &os, const char *name, const std::string &v,
-    bool comma = true)
-{
-    os << '"' << name << "\":\"" << json_escape(v) << '"';
-    if (comma)
-        os << ',';
+    T v;
+    std::memcpy(&v, blob.data() + off, sizeof(T));
+    return v;
 }
 
 } // namespace
 
-void
-write_result_blob(std::ostream &os, const SimResult &r)
-{
-    os << '{';
-    num(os, "schema", kResultBlobSchema);
-    str(os, "app", r.app);
-    str(os, "policy", r.policy);
-    num(os, "page_size", r.page_size);
-    num(os, "subpage_size", r.subpage_size);
-    num(os, "mem_pages", r.mem_pages);
-
-    num(os, "refs", r.refs);
-    num(os, "page_faults", r.page_faults);
-    num(os, "lazy_subpage_faults", r.lazy_subpage_faults);
-    num(os, "evictions", r.evictions);
-    num(os, "putpages", r.putpages);
-    num(os, "emulated_accesses", r.emulated_accesses);
-
-    tick(os, "runtime", r.runtime);
-    tick(os, "exec_time", r.exec_time);
-    tick(os, "sp_latency", r.sp_latency);
-    tick(os, "page_wait", r.page_wait);
-    tick(os, "recv_overhead", r.recv_overhead);
-    tick(os, "emulation_overhead", r.emulation_overhead);
-    tick(os, "tlb_overhead", r.tlb_overhead);
-    tick(os, "io_overlap", r.io_overlap);
-    tick(os, "comp_overlap", r.comp_overlap);
-
-    os << "\"faults\":[";
-    for (size_t i = 0; i < r.faults.size(); ++i) {
-        const FaultRecord &f = r.faults[i];
-        if (i)
-            os << ',';
-        os << '{';
-        num(os, "page", f.page);
-        num(os, "ref_index", f.ref_index);
-        tick(os, "at", f.at);
-        tick(os, "sp_wait", f.sp_wait);
-        tick(os, "page_wait", f.page_wait);
-        os << "\"from_disk\":" << (f.from_disk ? "true" : "false")
-           << '}';
-    }
-    os << "],";
-
-    os << "\"clustering\":{";
-    str(os, "name", r.clustering.name);
-    os << "\"points\":[";
-    for (size_t i = 0; i < r.clustering.points.size(); ++i) {
-        if (i)
-            os << ',';
-        os << '[' << fmt_double(r.clustering.points[i].first) << ','
-           << fmt_double(r.clustering.points[i].second) << ']';
-    }
-    os << "]},";
-
-    os << "\"distance_bins\":[";
-    {
-        bool first = true;
-        for (const auto &[key, count] :
-             r.next_subpage_distance.bins()) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << '[' << key << ',' << count << ']';
-        }
-    }
-    os << "],";
-
-    os << "\"net\":{";
-    num(os, "messages", r.net_stats.messages);
-    num(os, "bytes", r.net_stats.bytes);
-    os << "\"messages_by_kind\":[";
-    for (size_t k = 0; k < kMsgKindCount; ++k)
-        os << (k ? "," : "") << r.net_stats.messages_by_kind[k];
-    os << "],\"bytes_by_kind\":[";
-    for (size_t k = 0; k < kMsgKindCount; ++k)
-        os << (k ? "," : "") << r.net_stats.bytes_by_kind[k];
-    os << "],";
-    num(os, "dropped", r.net_stats.dropped);
-    num(os, "corrupted", r.net_stats.corrupted);
-    num(os, "duplicated", r.net_stats.duplicated, false);
-    os << "},";
-
-    os << "\"tlb\":{";
-    num(os, "hits", r.tlb_stats.hits);
-    num(os, "misses", r.tlb_stats.misses, false);
-    os << "},";
-    num(os, "global_discards", r.global_discards);
-
-    num(os, "retries", r.retries);
-    num(os, "timeouts", r.timeouts);
-    num(os, "degraded_fetches", r.degraded_fetches);
-    num(os, "duplicate_deliveries", r.duplicate_deliveries);
-    num(os, "server_failures", r.server_failures);
-
-    os << "\"metrics\":[";
-    for (size_t i = 0; i < r.metrics.size(); ++i) {
-        const obs::MetricSample &m = r.metrics[i];
-        if (i)
-            os << ',';
-        os << '{';
-        str(os, "name", m.name);
-        num(os, "kind", static_cast<uint64_t>(m.kind));
-        dbl(os, "value", m.value);
-        num(os, "count", m.count);
-        dbl(os, "mean", m.mean);
-        dbl(os, "min", m.min);
-        dbl(os, "max", m.max, false);
-        os << '}';
-    }
-    os << "],";
-
-    tick(os, "requester_wire_busy", r.requester_wire_busy);
-    tick(os, "requester_dma_busy", r.requester_dma_busy);
-    tick(os, "requester_cpu_busy", r.requester_cpu_busy, false);
-    os << '}';
-}
-
 std::string
 result_blob(const SimResult &r)
 {
-    std::ostringstream os;
-    write_result_blob(os, r);
-    return os.str();
+    Bins bins = r.next_subpage_distance.bins();
+    std::string blob;
+    // Room for the usual blob; long names only cost a regrowth.
+    blob.reserve(kHeaderBytes + 1024 + r.faults.size() * kFaultBytes +
+                 r.clustering.points.size() * kPointBytes +
+                 bins.size() * kBinBytes + r.metrics.size() * 96);
+    blob.resize(kHeaderBytes);
+    Writer w(blob);
+    codec(w, r, bins);
+
+    uint64_t len = blob.size() - kHeaderBytes;
+    std::memcpy(blob.data(), kMagic, sizeof(kMagic));
+    put_at<uint32_t>(blob, kOffSchema, kResultBlobSchema);
+    put_at<uint32_t>(blob, kOffEndian, kEndianTag);
+    put_at<uint64_t>(blob, kOffLength, len);
+    put_at<uint64_t>(blob, kOffHash,
+                     fnv1a_bytes(blob.data() + kHeaderBytes, len));
+    return blob;
+}
+
+void
+write_result_blob(std::ostream &os, const SimResult &r)
+{
+    std::string blob = result_blob(r);
+    os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
 }
 
 bool
-read_result_blob(const std::string &text, SimResult &out)
+read_result_blob(const std::string &blob, SimResult &out)
 {
     out = SimResult();
-    JsonValue doc;
-    if (!JsonValue::parse(text, doc) || !doc.is_object())
+    if (blob.size() < kHeaderBytes ||
+        std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0 ||
+        get_at<uint32_t>(blob, kOffSchema) != kResultBlobSchema ||
+        get_at<uint32_t>(blob, kOffEndian) != kEndianTag) {
         return false;
-    if (doc.get_u64("schema") != kResultBlobSchema)
+    }
+    uint64_t len = blob.size() - kHeaderBytes;
+    if (get_at<uint64_t>(blob, kOffLength) != len ||
+        get_at<uint64_t>(blob, kOffHash) !=
+            fnv1a_bytes(blob.data() + kHeaderBytes, len)) {
         return false;
-    // Structural spine required; a blob missing any of these is
-    // damaged, not merely old.
-    for (const char *key : {"app", "policy", "faults", "clustering",
-                            "distance_bins", "net", "tlb", "metrics",
-                            "runtime"}) {
-        if (!doc.has(key))
-            return false;
     }
 
     SimResult r;
-    r.app = doc.get_string("app");
-    r.policy = doc.get_string("policy");
-    r.page_size = static_cast<uint32_t>(doc.get_u64("page_size"));
-    r.subpage_size =
-        static_cast<uint32_t>(doc.get_u64("subpage_size"));
-    r.mem_pages = static_cast<size_t>(doc.get_u64("mem_pages"));
-
-    r.refs = doc.get_u64("refs");
-    r.page_faults = doc.get_u64("page_faults");
-    r.lazy_subpage_faults = doc.get_u64("lazy_subpage_faults");
-    r.evictions = doc.get_u64("evictions");
-    r.putpages = doc.get_u64("putpages");
-    r.emulated_accesses = doc.get_u64("emulated_accesses");
-
-    r.runtime = doc.get_i64("runtime");
-    r.exec_time = doc.get_i64("exec_time");
-    r.sp_latency = doc.get_i64("sp_latency");
-    r.page_wait = doc.get_i64("page_wait");
-    r.recv_overhead = doc.get_i64("recv_overhead");
-    r.emulation_overhead = doc.get_i64("emulation_overhead");
-    r.tlb_overhead = doc.get_i64("tlb_overhead");
-    r.io_overlap = doc.get_i64("io_overlap");
-    r.comp_overlap = doc.get_i64("comp_overlap");
-
-    const JsonValue &faults = doc["faults"];
-    if (!faults.is_array())
+    Bins bins;
+    Reader rd(blob.data() + kHeaderBytes, len);
+    codec(rd, r, bins);
+    if (!rd.ok())
         return false;
-    r.faults.reserve(faults.size());
-    for (const JsonValue &f : faults.items()) {
-        if (!f.is_object())
+    // The writer emits bins in strictly increasing key order; any
+    // other order would merge keys and not re-encode to these bytes.
+    for (size_t i = 0; i < bins.size(); ++i) {
+        if (i > 0 && bins[i].first <= bins[i - 1].first)
             return false;
-        FaultRecord rec;
-        rec.page = f.get_u64("page");
-        rec.ref_index = f.get_u64("ref_index");
-        rec.at = f.get_i64("at");
-        rec.sp_wait = f.get_i64("sp_wait");
-        rec.page_wait = f.get_i64("page_wait");
-        rec.from_disk = f.get_bool("from_disk");
-        r.faults.push_back(rec);
+        r.next_subpage_distance.add(bins[i].first, bins[i].second);
     }
-
-    const JsonValue &clustering = doc["clustering"];
-    if (!clustering.is_object() ||
-        !clustering["points"].is_array()) {
-        return false;
-    }
-    r.clustering.name = clustering.get_string("name");
-    for (const JsonValue &p : clustering["points"].items()) {
-        if (!p.is_array() || p.size() != 2)
-            return false;
-        r.clustering.add(p.items()[0].as_double(),
-                         p.items()[1].as_double());
-    }
-
-    const JsonValue &bins = doc["distance_bins"];
-    if (!bins.is_array())
-        return false;
-    for (const JsonValue &b : bins.items()) {
-        if (!b.is_array() || b.size() != 2)
-            return false;
-        r.next_subpage_distance.add(b.items()[0].as_i64(),
-                                    b.items()[1].as_u64());
-    }
-
-    const JsonValue &net = doc["net"];
-    if (!net.is_object())
-        return false;
-    r.net_stats.messages = net.get_u64("messages");
-    r.net_stats.bytes = net.get_u64("bytes");
-    const JsonValue &mbk = net["messages_by_kind"];
-    const JsonValue &bbk = net["bytes_by_kind"];
-    if (mbk.size() != kMsgKindCount || bbk.size() != kMsgKindCount)
-        return false;
-    for (size_t k = 0; k < kMsgKindCount; ++k) {
-        r.net_stats.messages_by_kind[k] = mbk.items()[k].as_u64();
-        r.net_stats.bytes_by_kind[k] = bbk.items()[k].as_u64();
-    }
-    r.net_stats.dropped = net.get_u64("dropped");
-    r.net_stats.corrupted = net.get_u64("corrupted");
-    r.net_stats.duplicated = net.get_u64("duplicated");
-
-    r.tlb_stats.hits = doc["tlb"].get_u64("hits");
-    r.tlb_stats.misses = doc["tlb"].get_u64("misses");
-    r.global_discards = doc.get_u64("global_discards");
-
-    r.retries = doc.get_u64("retries");
-    r.timeouts = doc.get_u64("timeouts");
-    r.degraded_fetches = doc.get_u64("degraded_fetches");
-    r.duplicate_deliveries = doc.get_u64("duplicate_deliveries");
-    r.server_failures = doc.get_u64("server_failures");
-
-    const JsonValue &metrics = doc["metrics"];
-    if (!metrics.is_array())
-        return false;
-    r.metrics.reserve(metrics.size());
-    for (const JsonValue &m : metrics.items()) {
-        if (!m.is_object())
-            return false;
-        uint64_t kind = m.get_u64("kind", ~0ull);
-        if (kind > static_cast<uint64_t>(
-                       obs::MetricKind::Distribution)) {
-            return false;
-        }
-        obs::MetricSample s;
-        s.name = m.get_string("name");
-        s.kind = static_cast<obs::MetricKind>(kind);
-        s.value = m.get_double("value");
-        s.count = m.get_u64("count");
-        s.mean = m.get_double("mean");
-        s.min = m.get_double("min");
-        s.max = m.get_double("max");
-        r.metrics.push_back(std::move(s));
-    }
-
-    r.requester_wire_busy = doc.get_i64("requester_wire_busy");
-    r.requester_dma_busy = doc.get_i64("requester_dma_busy");
-    r.requester_cpu_busy = doc.get_i64("requester_cpu_busy");
-
     out = std::move(r);
     return true;
 }

@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
+#include <random>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -24,6 +27,7 @@
 #include "exec/result_cache.h"
 #include "exec/result_codec.h"
 #include "net/timeline.h"
+#include "trace/binfmt.h"
 
 namespace sgms
 {
@@ -91,7 +95,7 @@ rich_result()
     r.faults.push_back({42, 9, 1000, 2000, 3000, true});
     r.faults.push_back({43, 10, 1001, 2001, 0, false});
     r.clustering.name = "clustering";
-    r.clustering.add(0.1, 1); // 0.1 is not exact in binary: %.17g path
+    r.clustering.add(0.1, 1); // 0.1 is not exact in binary
     r.clustering.add(2e6, 3.25);
     r.next_subpage_distance.add(-3, 2);
     r.next_subpage_distance.add(1, 9);
@@ -159,25 +163,149 @@ TEST(ResultCodec, EmptyResultRoundTrips)
     EXPECT_EQ(exec::result_blob(back), blob);
 }
 
+TEST(ResultCodec, RoundTripsNonFiniteDoublesBitExact)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    SimResult r = rich_result();
+    r.metrics.push_back({"d.nonfinite", obs::MetricKind::Distribution,
+                         inf, 2, -inf, nan, -0.0});
+    r.clustering.add(inf, nan);
+    r.clustering.add(-0.0, -inf);
+    std::string blob = exec::result_blob(r);
+    SimResult back;
+    ASSERT_TRUE(exec::read_result_blob(blob, back));
+    EXPECT_EQ(exec::result_blob(back), blob);
+
+    auto bits = [](double v) {
+        uint64_t b;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    const obs::MetricSample &m = back.metrics.back();
+    EXPECT_EQ(bits(m.value), bits(inf));
+    EXPECT_EQ(bits(m.mean), bits(-inf));
+    EXPECT_EQ(bits(m.min), bits(nan));
+    EXPECT_EQ(bits(m.max), bits(-0.0));
+    const auto &pts = back.clustering.points;
+    ASSERT_EQ(pts.size(), 4u);
+    EXPECT_EQ(bits(pts[2].first), bits(inf));
+    EXPECT_EQ(bits(pts[2].second), bits(nan));
+    EXPECT_EQ(bits(pts[3].first), bits(-0.0));
+    EXPECT_EQ(bits(pts[3].second), bits(-inf));
+}
+
+// SGMR header offsets (exec/result_codec.h layout table).
+constexpr size_t kBlobSchemaOff = 4;
+constexpr size_t kBlobLengthOff = 12;
+constexpr size_t kBlobHashOff = 20;
+constexpr size_t kBlobHeaderBytes = 28;
+
+/**
+ * Rewrite @p blob's payload length and hash to match its payload, so
+ * a damaged payload reaches the field decoder instead of failing the
+ * checksum.
+ */
+std::string
+resealed(std::string blob)
+{
+    uint64_t len = blob.size() - kBlobHeaderBytes;
+    uint64_t hash = fnv1a_bytes(blob.data() + kBlobHeaderBytes, len);
+    std::memcpy(blob.data() + kBlobLengthOff, &len, sizeof(len));
+    std::memcpy(blob.data() + kBlobHashOff, &hash, sizeof(hash));
+    return blob;
+}
+
+/** @p blob with the u64 at @p off set to @p v, resealed. */
+std::string
+with_u64(std::string blob, size_t off, uint64_t v)
+{
+    std::memcpy(blob.data() + off, &v, sizeof(v));
+    return resealed(std::move(blob));
+}
+
 TEST(ResultCodec, RejectsDamagedBlobs)
 {
-    std::string good = exec::result_blob(rich_result());
+    // Runs under ASan+UBSan in scripts/check.sh: every input below
+    // must come back false without an overrun or a huge allocation.
+    const std::string good = exec::result_blob(rich_result());
+    ASSERT_GT(good.size(), kBlobHeaderBytes);
     SimResult out;
+    ASSERT_TRUE(exec::read_result_blob(good, out));
     EXPECT_FALSE(exec::read_result_blob("", out));
-    EXPECT_FALSE(exec::read_result_blob("not json at all", out));
-    // Truncation at any of a few depths: parse fails, reader says no.
-    EXPECT_FALSE(
-        exec::read_result_blob(good.substr(0, good.size() / 2), out));
-    EXPECT_FALSE(exec::read_result_blob(good.substr(0, 10), out));
-    // Valid JSON, wrong schema version.
-    std::string bumped = good;
-    size_t pos = bumped.find("\"schema\":");
-    ASSERT_NE(pos, std::string::npos);
-    bumped.replace(pos, 10, "\"schema\":9");
-    EXPECT_FALSE(exec::read_result_blob(bumped, out));
-    // Valid JSON, not a result blob.
-    EXPECT_FALSE(exec::read_result_blob("{\"schema\":1}", out));
-    EXPECT_FALSE(exec::read_result_blob("[1,2,3]", out));
+    EXPECT_FALSE(exec::read_result_blob("{\"schema\":2}", out));
+
+    // Every truncation: as torn off (length check), and resealed so
+    // the decoder itself runs out of bytes.
+    for (size_t n = 0; n < good.size(); ++n) {
+        SCOPED_TRACE(n);
+        EXPECT_FALSE(exec::read_result_blob(good.substr(0, n), out));
+        if (n >= kBlobHeaderBytes) {
+            EXPECT_FALSE(
+                exec::read_result_blob(resealed(good.substr(0, n)), out));
+        }
+    }
+    // Trailing bytes, with and without a matching header.
+    EXPECT_FALSE(exec::read_result_blob(good + '\0', out));
+    EXPECT_FALSE(exec::read_result_blob(resealed(good + '\0'), out));
+
+    // Wrong magic, wrong schema.
+    std::string magic = good;
+    magic[3] = 'B';
+    EXPECT_FALSE(exec::read_result_blob(magic, out));
+    std::string schema = good;
+    uint32_t v = exec::kResultBlobSchema + 1;
+    std::memcpy(schema.data() + kBlobSchemaOff, &v, sizeof(v));
+    EXPECT_FALSE(exec::read_result_blob(schema, out));
+
+    // A length prefix or element count of 2^63 behind a valid
+    // checksum: the policy string's length, the fault count after
+    // it, and the clustering point count after the series name.
+    const uint64_t huge = 1ull << 63;
+    size_t policy = good.find("pipelining");
+    size_t series = good.find("clustering");
+    ASSERT_NE(policy, std::string::npos);
+    ASSERT_NE(series, std::string::npos);
+    EXPECT_FALSE(exec::read_result_blob(
+        with_u64(good, policy - sizeof(uint64_t), huge), out));
+    EXPECT_FALSE(exec::read_result_blob(
+        with_u64(good, policy + 10, huge), out));
+    EXPECT_FALSE(exec::read_result_blob(
+        with_u64(good, series + 10, huge), out));
+
+    // Distance-histogram keys out of order: the second key (1) set to
+    // the first (-3) would merge the bins and re-encode differently.
+    const int64_t keys[2] = {-3, 1};
+    size_t bins = good.find(
+        std::string(reinterpret_cast<const char *>(keys), sizeof(keys)));
+    ASSERT_NE(bins, std::string::npos);
+    EXPECT_FALSE(exec::read_result_blob(
+        with_u64(good, bins + sizeof(int64_t), static_cast<uint64_t>(-3)),
+        out));
+
+    // Seeded single-byte flips over every header byte and across the
+    // payload. As flipped, the header check or checksum rejects each
+    // one. Resealed, the decoder either rejects it or decodes a blob
+    // that re-encodes to exactly these bytes.
+    std::mt19937_64 rng(20240611);
+    std::vector<size_t> offsets;
+    for (size_t i = 0; i < kBlobHeaderBytes; ++i)
+        offsets.push_back(i);
+    for (int i = 0; i < 400; ++i)
+        offsets.push_back(kBlobHeaderBytes +
+                          rng() % (good.size() - kBlobHeaderBytes));
+    for (size_t off : offsets) {
+        SCOPED_TRACE(off);
+        std::string bad = good;
+        bad[off] = static_cast<char>(bad[off] ^ (1 + rng() % 255));
+        EXPECT_FALSE(exec::read_result_blob(bad, out));
+        if (off < kBlobHeaderBytes)
+            continue;
+        std::string sealed = resealed(bad);
+        if (exec::read_result_blob(sealed, out)) {
+            EXPECT_EQ(exec::result_blob(out), sealed);
+        }
+    }
 }
 
 // --------------------------------------------------------------- cache
@@ -259,7 +387,11 @@ TEST(ResultCache, CorruptedBlobReadsAsMissNotFatal)
     {
         std::ofstream f(cache.blob_path(key),
                         std::ios::binary | std::ios::trunc);
-        f << "{\"schema\":1, \x01\x02 definitely not json";
+        // A valid blob with one payload byte flipped: the checksum
+        // no longer matches.
+        std::string blob = exec::result_blob(rich_result());
+        blob.back() = static_cast<char>(blob.back() ^ 0x5a);
+        f << blob;
     }
     EXPECT_FALSE(cache.load(key).has_value());
     EXPECT_EQ(cache.stats().decode_failures, 1u);
@@ -294,7 +426,7 @@ blob_bytes(const std::string &dir)
     uint64_t total = 0;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         if (e.is_regular_file() &&
-            e.path().extension() == ".json") {
+            e.path().extension() == ".sgmr") {
             total += e.file_size();
         }
     }

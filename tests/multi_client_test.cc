@@ -213,17 +213,19 @@ blob_digest(const SimResult &r)
 
 // The digests below were recorded from the one-client kernel that
 // ran every N=1 point before this one took them over; they pin its
-// results byte for byte.
+// results byte for byte. They hash SGMR blobs; a codec change that
+// re-pins them must first show the old codec still reproduces the
+// old digests (CHANGES.md records each re-pin).
 
 TEST(MultiClientIdentity, ByteIdenticalAtNOneAcrossPolicies)
 {
     const std::pair<const char *, uint64_t> golden[] = {
-        {"fullpage", 0xa0ac8d6e304f7712ull},
-        {"eager", 0xa9b08fa915bd6b3dull},
-        {"pipelining", 0xdc1877533e91bacaull},
-        {"pipelining-all", 0x46ca94f799e92a61ull},
-        {"lazy", 0x2c69ef94b633be0dull},
-        {"disk", 0x6706fb0bbfad6321ull},
+        {"fullpage", 0x344a76bf74bad1faull},
+        {"eager", 0x301cf1297dd3e5d6ull},
+        {"pipelining", 0xf3d1a331465a09f6ull},
+        {"pipelining-all", 0x25e3fcb6fe112356ull},
+        {"lazy", 0x1da88e74636b1838ull},
+        {"disk", 0xefad52ed74c818bbull},
     };
     for (const auto &[policy, digest] : golden) {
         SCOPED_TRACE(policy);
@@ -237,18 +239,18 @@ TEST(MultiClientIdentity, ByteIdenticalWithTlbAndSoftwarePal)
     cfg.tlb_enabled = true;
     cfg.tlb_entries = 16;
     cfg.tlb_assoc = 4;
-    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xf12848881744a5c0ull);
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0x5de5ea388dd9f97aull);
 
     SimConfig pal = mc_config("pipelining");
     pal.protection = ProtectionMode::SoftwarePal;
-    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0x65ee8f0c06f0836aull);
+    EXPECT_EQ(blob_digest(run_multi(pal, 1)), 0xb20797f0a71b1a14ull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalWithClusterLoadKnob)
 {
     SimConfig cfg = mc_config("eager");
     cfg.cluster_load.server_utilization = 0.5;
-    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0x87b781b9c9202abcull);
+    EXPECT_EQ(blob_digest(run_multi(cfg, 1)), 0xc262fbd27e8d2e47ull);
 }
 
 TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
@@ -260,9 +262,9 @@ TEST(MultiClientIdentity, ByteIdenticalUnderFaultInjection)
     plan.outages.push_back(
         {1, ticks::from_ms(5), ticks::from_ms(60)});
     const std::pair<const char *, uint64_t> golden[] = {
-        {"eager", 0xb79195f95dc4579dull},
-        {"pipelining", 0xc9e23302dbb349e2ull},
-        {"fullpage", 0x41c53718e3062678ull},
+        {"eager", 0x450f3980d45246cfull},
+        {"pipelining", 0xc571962694655b78ull},
+        {"fullpage", 0x688265ac351f47afull},
     };
     for (const auto &[policy, digest] : golden) {
         SCOPED_TRACE(policy);
@@ -280,7 +282,7 @@ TEST(MultiClientIdentity, ExperimentRouteIsByteIdenticalAtNOne)
     ex.policy = "eager";
     ex.subpage_size = 1024;
     ex.mem = MemConfig::Half;
-    EXPECT_EQ(blob_digest(ex.run()), 0x1f882bb201f9a9a4ull);
+    EXPECT_EQ(blob_digest(ex.run()), 0x140df75d0071e3bdull);
 }
 
 // ---------------------------------------------------------------
